@@ -33,7 +33,7 @@ def save_checkpoint(path, cfg: Config, params: dict[str, np.ndarray], step: int)
     out += cfg_blob
     out += struct.pack("<I", len(params))
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name])
+        arr = np.asarray(params[name], order="C")  # keeps 0-d parameters 0-d
         code = _DTYPE_CODES.get(arr.dtype.newbyteorder("="))
         if code is None:
             code = _DTYPE_CODES[np.dtype(np.float32) if arr.dtype.itemsize == 4 else np.dtype(np.float64)]

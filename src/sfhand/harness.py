@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 
-from .config import Config
 from .data import ClipSample, generate_synthetic
 from .metrics import MetricAccumulator, MetricReport
 from .model import ForecastModel
@@ -104,8 +103,3 @@ def evaluate_model(model: ForecastModel | None, clips: list[ClipSample], mode: s
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_shard, range(workers)))
     return _merge([r for r in results if r is not None]).report()
-
-
-def bench_config(cfg: Config) -> Config:
-    """Compact derivative of a config for long latency runs."""
-    return cfg.replace(raster=32, d=32, heads=2, decoder_layers=2, memory_size=cfg.memory_size)

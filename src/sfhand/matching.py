@@ -1,15 +1,17 @@
 """Optimal bipartite matching and the composite forecasting loss.
 
-The assignment solver is an augmenting-path Hungarian with potentials,
-followed by a lexicographic refinement pass so ties always resolve to the
-smallest (query, target) pair list among the optima. The loss matches
-queries to ground-truth hands with the same cost structure it optimizes:
-weighted type cross-entropy, L1 + GIoU box terms, and L1 pose/trajectory
-terms (trajectory rescaled cm -> m to balance magnitudes).
+The assignment solver enumerates every injective assignment, which is
+exact and cheap at this model's shapes (at most 2 ground-truth hands), and
+resolves ties to the smallest (query, target) pair list among the optima.
+The loss matches queries to ground-truth hands with the same cost
+structure it optimizes: weighted type cross-entropy, L1 + GIoU box terms,
+and L1 pose/trajectory terms (trajectory rescaled cm -> m to balance
+magnitudes).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +21,7 @@ from . import tensor as T
 from .config import Config
 from .errors import DimensionError, UsageError
 from .hand import HandState, HandType, rect_giou
-from .model import DecodedStep
+from .model import DecodedStep, _softmax_np
 from .tensor import Tensor
 
 
@@ -35,69 +37,19 @@ class Assignment:
         return {r: c for r, c in self.pairs}
 
 
-def _solve_min_cost(cost: np.ndarray) -> float:
-    """Optimal total cost of assigning min(n, m) pairs (potentials method)."""
-    n, m = cost.shape
-    if n > m:
-        cost = cost.T
-        n, m = m, n
-    INF = math.inf
-    u = [0.0] * (n + 1)
-    v = [0.0] * (m + 1)
-    match_col = [0] * (m + 1)  # column j -> row matched (1-based, 0 = free)
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        match_col[0] = i
-        j0 = 0
-        minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            delta = INF
-            j1 = 0
-            row = cost[i0 - 1]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[match_col[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-    total = 0.0
-    for j in range(1, m + 1):
-        if match_col[j]:
-            total += cost[match_col[j] - 1, j - 1]
-    return total
-
-
-def _solve_submatrix(cost: np.ndarray, rows: list[int], cols: list[int]) -> float:
-    if not rows or not cols:
-        return 0.0
-    return _solve_min_cost(cost[np.ix_(rows, cols)])
+MAX_CANDIDATES = 100_000
 
 
 def hungarian(cost) -> Assignment:
-    """Minimum-cost assignment of min(n, m) pairs.
+    """Minimum-cost assignment of min(n, m) pairs, by direct enumeration.
 
-    Deterministic: among all optimal assignments, returns the one whose
-    row-sorted pair list is lexicographically smallest.
+    Scores every injective assignment and keeps the smallest ``(total,
+    row-sorted pairs)`` key, so ties resolve to the lexicographically
+    smallest pair list. The perm(max(n, m), min(n, m)) candidates are capped
+    at ``MAX_CANDIDATES``; larger shapes raise UsageError. In-package callers
+    stay far below it: ``composite_loss`` is ``num_queries`` x <=2 (the cap
+    is reached above 316 queries) and recall matching is <=2 x <=2. The
+    largest tested shape, 5 x 7, has 2 520 candidates.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] < 1 or c.shape[1] < 1:
@@ -106,46 +58,21 @@ def hungarian(cost) -> Assignment:
         raise UsageError("cost matrix contains non-finite entries")
     n, m = c.shape
     k = min(n, m)
-    best_total = _solve_min_cost(c)
-    tol = 1e-12 * (1.0 + abs(best_total))
-
-    pairs: list[tuple[int, int]] = []
-    used_cols: set[int] = set()
-    fixed = 0.0
-    next_row = 0
-    for pos in range(k):
-        need = k - pos - 1
-        placed = False
-        for q in range(next_row, n):
-            if n - q - 1 < need:
-                break  # not enough rows left below q to finish
-            free_cols = [g for g in range(m) if g not in used_cols]
-            rest_rows = list(range(q + 1, n))
-            for g in free_cols:
-                rest_cols = [x for x in free_cols if x != g]
-                completion = _solve_submatrix(c, rest_rows, rest_cols)
-                if fixed + c[q, g] + completion <= best_total + tol:
-                    pairs.append((q, g))
-                    used_cols.add(g)
-                    fixed += float(c[q, g])
-                    next_row = q + 1
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:  # cannot happen for a correct optimum
-            raise UsageError("assignment refinement failed to extend an optimum")
-    total = math.fsum(float(c[q, g]) for q, g in pairs)
-    return Assignment(pairs=tuple(pairs), total=total)
+    if math.perm(max(n, m), k) > MAX_CANDIDATES:
+        raise UsageError(f"{n}x{m} cost matrix has over {MAX_CANDIDATES} assignments")
+    values = c.tolist()
+    best = None
+    for rows in itertools.combinations(range(n), k):
+        for cols in itertools.permutations(range(m), k):
+            pairs = tuple(zip(rows, cols))  # rows ascend, so already row-sorted
+            key = (math.fsum(values[q][g] for q, g in pairs), pairs)
+            if best is None or key < best:
+                best = key
+    return Assignment(pairs=best[1], total=best[0])
 
 
 # ---------------------------------------------------------------------------
 # matching cost and loss
-
-
-def _softmax_np(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _gt_arrays(gts: list[HandState], pose_dim: int):

@@ -1,7 +1,8 @@
 """Forecast evaluation: displacement, joint-error, and recall metrics.
 
 Trajectory metrics are in centimeters. Joint errors are wrist-aligned
-(JPE) or rigidly Procrustes-aligned (PA-JPE). Recall matches predicted to
+(JPE) or rigidly Procrustes-aligned (PA-JPE), with the rotation taken from
+``np.linalg.svd`` of the 3x3 cross-covariance. Recall matches predicted to
 ground-truth boxes per frame by maximal total IoU and requires both the
 IoU threshold and an exact hand-type match.
 """
@@ -12,9 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, NumericalError
 from .hand import HandState, HandType, JointSet, bbox_iou, synthetic_joints
-from .linalg import svd3
 from .matching import hungarian
 
 
@@ -59,19 +59,23 @@ def procrustes_align(pred, gt, with_scale: bool = False) -> np.ndarray:
 
     Rigid Kabsch alignment: rotation from the SVD of the cross-covariance,
     determinant-corrected to a proper rotation. Degenerate all-coincident
-    point sets fall back to translation only.
+    point sets fall back to translation only. Non-finite input raises
+    NumericalError.
     """
     p = np.asarray(pred, dtype=np.float64)
     g = np.asarray(gt, dtype=np.float64)
     if p.shape != g.shape or p.ndim != 2 or p.shape[1] != 3:
         raise DimensionError(f"expected matching (n, 3) point sets, got {p.shape} / {g.shape}")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(g))):
+        raise NumericalError("procrustes_align input has non-finite entries")
     cp, cg = p.mean(axis=0), g.mean(axis=0)
     p0, g0 = p - cp, g - cg
     norm_p = np.linalg.norm(p0)
     if norm_p < 1e-12 or np.linalg.norm(g0) < 1e-12:
         return p0 + cg
     h = p0.T @ g0
-    u, s, v = svd3(h)
+    u, s, vt = np.linalg.svd(h)
+    v = vt.T
     d = np.sign(np.linalg.det(v @ u.T))
     corr = np.diag([1.0, 1.0, d if d != 0 else 1.0])
     r = v @ corr @ u.T

@@ -123,7 +123,7 @@ def train(model: ForecastModel, clips: list[ClipSample], *,
             pose=term_sums["pose"] / frame_count,
             traj=term_sums["traj"] / frame_count,
         )
-        _check_finite(rec.__dict__ | {"total": rec.total}, updates)
+        _check_finite(rec.__dict__, updates)
         records.append(rec)
         if on_record:
             on_record(rec)

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from sfhand.errors import DimensionError
+from sfhand.errors import DimensionError, NumericalError, UsageError
 from sfhand.hand import (
     BBox,
     HandPose,
@@ -23,6 +23,7 @@ from sfhand.metrics import (
     procrustes_align,
     recall_at_iou,
 )
+from sfhand.matching import MAX_CANDIDATES, hungarian
 
 
 def random_rotation(rng):
@@ -134,6 +135,26 @@ class TestProcrustes:
             res = np.linalg.norm(procrustes_align(moved, g) - g)
             assert res == pytest.approx(base, abs=1e-8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_numerical_error(self, bad):
+        g = np.random.default_rng(7).normal(0, 2, (21, 3))
+        p = g.copy()
+        p[3, 1] = bad
+        with pytest.raises(NumericalError):
+            procrustes_align(p, g)
+        with pytest.raises(NumericalError):
+            procrustes_align(g, p)
+
+    def test_mirror_image_gets_rotation_not_reflection(self):
+        g = np.random.default_rng(8).normal(0, 3, (21, 3))
+        p = g * np.array([1.0, 1.0, -1.0])
+        aligned = procrustes_align(p, g)
+        p0, a0 = p - p.mean(axis=0), aligned - aligned.mean(axis=0)
+        r_t, *_ = np.linalg.lstsq(p0, a0, rcond=None)
+        npt.assert_allclose(r_t @ r_t.T, np.eye(3), atol=1e-9)
+        assert np.linalg.det(r_t) == pytest.approx(1.0, abs=1e-9)
+        assert np.linalg.norm(aligned - g) > 1e-3
+
 
 class TestPAJPE:
     def test_rotated_translated_copy_zero(self):
@@ -181,6 +202,16 @@ class TestRecall:
         far = make_state(HandType.LEFT, 0.5, w=0.1, h=0.1)  # IoU ~ 0.0625
         assert recall_at_iou([[near]], [[gt]]) == 1.0
         assert recall_at_iou([[far]], [[gt]]) == 0.0
+
+    def test_matching_above_enumeration_bound_raises(self):
+        # 317 x 2 has 317 * 316 = 100 172 assignments, just above the cap
+        assert 317 * 316 > MAX_CANDIDATES >= 316 * 315
+        with pytest.raises(UsageError):
+            hungarian(np.zeros((317, 2)))
+        with pytest.raises(UsageError):
+            hungarian(np.zeros((2, 317)))
+        with pytest.raises(UsageError):
+            hungarian(np.zeros((9, 9)))  # 9! = 362 880
 
 
 class TestAccumulator:
