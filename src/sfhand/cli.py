@@ -189,8 +189,7 @@ def cmd_bench(args) -> int:
     for k, v in result.to_dict().items():
         print(f"{k} = {v}")
     print(f"config = {model.cfg.to_json().replace(chr(10), ' ')}")
-    print(f"latency_flat = {result.flat_latency()}")
-    print(f"queue_within_capacity = {result.max_queue_len <= model.cfg.memory_size}")
+    print(f"constant_cost = {result.constant_cost()}")
     return 0
 
 

@@ -8,7 +8,11 @@ from dataclasses import dataclass
 
 from .errors import DataFormatError, UsageError
 
-MEMORY_MODES = ("key_broadcast", "query_broadcast_literal", "off")
+# Memory bias modes; ``sfhand.memory`` documents what each one does.
+KEY_BROADCAST = "key_broadcast"
+QUERY_BROADCAST_LITERAL = "query_broadcast_literal"
+OFF = "off"
+MEMORY_MODES = (KEY_BROADCAST, QUERY_BROADCAST_LITERAL, OFF)
 
 
 @dataclass
@@ -39,7 +43,7 @@ class Config:
     steps: int = 200                 # optimizer updates
     weight_decay: float = 0.01
     seed: int = 0
-    memory_mode: str = "key_broadcast"
+    memory_mode: str = KEY_BROADCAST
     use_memory: bool = True          # False bypasses the memory layer entirely
     use_text: bool = True
     use_video: bool = True

@@ -10,7 +10,6 @@ results are independent of the worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 from .data import ClipSample, generate_synthetic
@@ -61,34 +60,28 @@ def _merge(parts: list[MetricAccumulator]) -> MetricAccumulator:
     return merged
 
 
-def _clip_accumulator(model, clip, mode, memory_mode, tail_only) -> MetricAccumulator:
+def _clip_accumulator(model, clip, mode) -> MetricAccumulator:
     acc = MetricAccumulator()
     if mode == "static":
         forecasts, _ = static_baseline(clip)
     else:
-        forecasts, _, _ = rollout(model, clip, mode=mode, memory_mode=memory_mode)
-    start = 0
-    if tail_only:
-        # final quarter of the clip: forecast j covers frame j+1
-        start = max(0, math.ceil(clip.num_frames * 3 / 4) - 1)
-    acc.add_clip(forecasts[start:], clip.gt[1 + start:], clip.gt_joints[1 + start:])
+        forecasts, _, _ = rollout(model, clip, mode=mode)
+    acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
     return acc
 
 
 def evaluate_model(model: ForecastModel | None, clips: list[ClipSample], mode: str,
-                   *, memory_mode: str | None = None, workers: int = 1,
-                   tail_only: bool = False) -> MetricReport:
+                   *, workers: int = 1) -> MetricReport:
     """Aggregate rollout metrics over a clip set.
 
     ``mode``: 'self', 'oracle', or 'static' (the latter needs no model).
-    ``tail_only`` restricts scoring to each clip's final quarter.
     """
     if mode not in (SELF_FEED, ORACLE, "static"):
         raise ValueError(f"unknown eval mode {mode!r}")
     if mode != "static" and model is None:
         raise ValueError("model required unless mode is 'static'")
     if workers <= 1 or mode == "static" or len(clips) <= 1:
-        parts = [_clip_accumulator(model, c, mode, memory_mode, tail_only) for c in clips]
+        parts = [_clip_accumulator(model, c, mode) for c in clips]
         return _merge(parts).report()
 
     workers = min(workers, len(clips))
@@ -97,8 +90,7 @@ def evaluate_model(model: ForecastModel | None, clips: list[ClipSample], mode: s
 
     def run_shard(w: int):
         for idx in range(w, len(clips), workers):
-            results[idx] = _clip_accumulator(replicas[w], clips[idx], mode,
-                                             memory_mode, tail_only)
+            results[idx] = _clip_accumulator(replicas[w], clips[idx], mode)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(run_shard, range(workers)))

@@ -6,7 +6,8 @@ taken at enqueue time. The layer refines the current tokens by attending
 into the flattened queue, with the scores optionally biased by a learnable
 scalar times a hand-region mask.
 
-Three bias modes ship:
+The bias mode is ``Config.memory_mode``, checked when the config is
+built; three modes ship:
 
 * ``key_broadcast`` (default): each stored key token k gets ``alpha *
   mask_k`` added to its score column, so hand-region history attracts
@@ -24,15 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import Config
+from .blocks import attend
+from .config import KEY_BROADCAST, OFF, QUERY_BROADCAST_LITERAL, Config  # noqa: F401
 from .errors import DimensionError, UsageError
-from .hand import HandState
 from .tensor import Tape, Tensor
-
-KEY_BROADCAST = "key_broadcast"
-QUERY_BROADCAST_LITERAL = "query_broadcast_literal"
-OFF = "off"
-MODES = (KEY_BROADCAST, QUERY_BROADCAST_LITERAL, OFF)
 
 
 def roi_mask(states, cfg: Config) -> np.ndarray:
@@ -129,15 +125,11 @@ class MemoryLayer:
         self.cfg = cfg
         self.alpha = tape.parameter("memory.alpha", np.asarray(1.0))
 
-    def forward(self, queue: MemoryQueue, e_t: Tensor, m_t: np.ndarray,
-                mode: str | None = None) -> Tensor:
+    def forward(self, queue: MemoryQueue, e_t: Tensor, m_t: np.ndarray) -> Tensor:
         """Residual attention of current tokens into the queue.
 
         An empty queue skips attention and returns ``e_t`` unchanged.
         """
-        mode = self.cfg.memory_mode if mode is None else mode
-        if mode not in MODES:
-            raise UsageError(f"unknown memory mode {mode!r}")
         n, d = e_t.value.shape
         if n != queue.token_count or d != queue.dim:
             raise DimensionError(
@@ -152,24 +144,15 @@ class MemoryLayer:
 
         tape = e_t.tape
         kv = tape.constant(queue.flat_keys(tape.dtype))
-        heads = self.cfg.memory_heads
-        dh = d // heads
-        outs = []
-        for h in range(heads):
-            cols = slice(h * dh, (h + 1) * dh)
-            scores = T.mul(
-                T.matmul(e_t[:, cols], T.transpose(kv[:, cols])), 1.0 / np.sqrt(dh)
-            )
-            if mode == KEY_BROADCAST:
-                key_mask = queue.flat_masks().astype(np.float64)
-                scores = T.add(scores, T.mul(self.alpha, tape.constant(key_mask)))
-            elif mode == QUERY_BROADCAST_LITERAL:
-                # The written form: mask over the current step's visual
-                # tokens only, broadcast along each query row.
-                q_mask = m_t.astype(np.float64).copy()
-                if self.cfg.use_hand:
-                    q_mask[queue.token_count - 2 :] = 0.0
-                scores = T.add(scores, T.mul(self.alpha, tape.constant(q_mask[:, None])))
-            outs.append(T.matmul(T.softmax_rows(scores), kv[:, cols]))
-        agg = outs[0] if heads == 1 else T.concat(outs, axis=1)
-        return T.add(e_t, agg)
+        bias = None
+        if self.cfg.memory_mode == KEY_BROADCAST:
+            key_mask = queue.flat_masks().astype(np.float64)
+            bias = T.mul(self.alpha, tape.constant(key_mask))
+        elif self.cfg.memory_mode == QUERY_BROADCAST_LITERAL:
+            # The written form: mask over the current step's visual
+            # tokens only, broadcast along each query row.
+            q_mask = m_t.astype(np.float64)
+            if self.cfg.use_hand:
+                q_mask[n - 2 :] = 0.0
+            bias = T.mul(self.alpha, tape.constant(q_mask[:, None]))
+        return T.add(e_t, attend(e_t, kv, kv, self.cfg.memory_heads, bias))

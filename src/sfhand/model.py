@@ -64,7 +64,6 @@ class StepResult:
     decoded: DecodedStep
     f_me: TokenSequence
     e_value: Optional[np.ndarray]  # pre-augmentation current tokens (detached)
-    roi: np.ndarray
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
@@ -157,7 +156,6 @@ class ForecastModel:
         *,
         instruction_ids: Optional[np.ndarray] = None,
         instruction_values: Optional[np.ndarray] = None,
-        memory_mode: Optional[str] = None,
         step_index: int = 0,
         enqueue: bool = True,
     ) -> StepResult:
@@ -179,7 +177,7 @@ class ForecastModel:
         if parts:
             e_t = concat_tokens(parts)
             if cfg.use_memory:
-                aug_emb = self.memory.forward(queue, e_t.emb, mask, memory_mode)
+                aug_emb = self.memory.forward(queue, e_t.emb, mask)
             else:
                 aug_emb = e_t.emb
             aug = TokenSequence(aug_emb, e_t.roles, e_t.patch_index)
@@ -209,7 +207,7 @@ class ForecastModel:
         decoded = self.decode(f_me)
         if enqueue and cfg.use_memory and e_value is not None:
             queue.enqueue(e_value, mask, step_index)
-        return StepResult(decoded=decoded, f_me=f_me, e_value=e_value, roi=mask)
+        return StepResult(decoded=decoded, f_me=f_me, e_value=e_value)
 
     # -- prediction -> hand states ---------------------------------------------
 

@@ -280,33 +280,39 @@ def minimum(a, b) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product with ``np.matmul`` semantics.
+
+    Operands are matrices or stacks of them (ndim >= 2): the last two axes
+    multiply and leading axes broadcast, so (heads, n, dh) @ (heads, dh, m)
+    is one product per head. The backward sums over broadcast axes.
+    """
     tape = a.tape
     b = _lift(tape, b)
-    if a.value.ndim != 2 or b.value.ndim != 2:
+    if a.value.ndim < 2 or b.value.ndim < 2:
         raise DimensionError(
-            f"matmul expects 2-D operands, got {a.value.shape} and {b.value.shape}"
+            f"matmul expects operands with ndim >= 2, got {a.value.shape} and {b.value.shape}"
         )
-    if a.value.shape[1] != b.value.shape[0]:
+    if a.value.shape[-1] != b.value.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.value.shape} x {b.value.shape}"
         )
     val = a.value @ b.value
 
     def bwd(g):
-        _acc(a, g @ b.value.T)
-        _acc(b, a.value.T @ g)
+        _acc(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
+        _acc(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
 
     return _record(tape, val, (a, b), bwd)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.value.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-D tensor, got {a.value.shape}")
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes as ``np.transpose`` does; reverses them by default."""
+    inverse = None if axes is None else np.argsort(axes)
 
     def bwd(g):
-        _acc(a, g.T)
+        _acc(a, np.transpose(g, inverse))
 
-    return _record(a.tape, a.value.T, (a,), bwd)
+    return _record(a.tape, np.transpose(a.value, axes), (a,), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

@@ -1,4 +1,4 @@
-"""Checkpoint byte round-trip and the CLI train -> eval path."""
+"""Checkpoint byte round-trip and the CLI train -> eval -> stream -> bench path."""
 
 from sfhand.checkpoint import restore_model, save_checkpoint
 from sfhand.cli import main
@@ -30,3 +30,6 @@ def test_cli_train_then_eval_exits_zero(tmp_path, capsys):
                  "--steps", "1", "--batch", "2", *flags]) == 0
     assert main(["eval", "--data", data, "--checkpoint", ckpt]) == 0
     assert "recall_at_05" in capsys.readouterr().out
+    assert main(["stream", "--checkpoint", ckpt, "--clip", data]) == 0
+    assert main(["bench", "--checkpoint", ckpt, "--length", "20"]) == 0
+    assert "constant_cost = True" in capsys.readouterr().out

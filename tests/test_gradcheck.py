@@ -1,9 +1,15 @@
 """Finite-difference checks of every differentiable tape op."""
 
 import numpy as np
+import pytest
 
 from sfhand import tensor as T
+from sfhand.config import MEMORY_MODES, Config
+from sfhand.data import generate_synthetic
+from sfhand.encoders import tokenize_text
 from sfhand.gradcheck import grad_check
+from sfhand.matching import composite_loss
+from sfhand.model import ForecastModel
 
 
 def tape_fn(build):
@@ -104,10 +110,16 @@ def test_layer_norm_and_embedding():
 def test_softmax_rows_through_matmul():
     rng = np.random.default_rng(6)
 
-    def build(tape, h):
-        attn = T.softmax_rows(T.matmul(h["q"], T.transpose(h["k"])))
-        out = T.matmul(attn, h["v"])
+    def attend(q, k, v):
+        out = T.matmul(T.softmax_rows(T.matmul(q, k)), v)
         return T.sum_(T.mul(out, out))
+
+    def build(tape, h):
+        flat = attend(h["q"], T.transpose(h["k"]), h["v"])
+        # (heads, n, dh) stacks; keys arrive as (m, heads, dh) and the
+        # values as one matrix shared by both heads
+        stacked = attend(h["q3"], T.transpose(h["k3"], (1, 2, 0)), h["v"])
+        return T.add(flat, stacked)
 
     run(
         build,
@@ -115,6 +127,8 @@ def test_softmax_rows_through_matmul():
             "q": rng.standard_normal((3, 4)),
             "k": rng.standard_normal((5, 4)),
             "v": rng.standard_normal((5, 4)),
+            "q3": rng.standard_normal((2, 3, 4)),
+            "k3": rng.standard_normal((5, 2, 4)),
         },
     )
 
@@ -142,3 +156,47 @@ def test_report_counts_coordinates():
     )
     assert report.params[0].checked <= 10
     assert report.total_checked >= 1
+
+
+@pytest.mark.parametrize("memory_mode", MEMORY_MODES)
+def test_whole_model_through_composite_loss(memory_mode):
+    cfg = Config(d=8, heads=2, text_layers=1, hand_layers=1, decoder_layers=1,
+                 pose_dim=6, num_queries=2, raster=16, patch=8, text_len=4,
+                 memory_size=2, memory_heads=2, mlp_ratio=2, precision="float64",
+                 memory_mode=memory_mode)
+    clip = generate_synthetic(5, "two_hands", 1, frames=4, raster=16, pose_dim=6)[0]
+    model = ForecastModel(cfg)
+    ids = tokenize_text(clip.instruction, cfg.text_len)
+    # frozen queue: detached past steps, so every gradient ends at this step
+    queue = model.new_queue()
+    for i in range(2):
+        queue.enqueue(*model.encode_current(clip.frames[i], clip.gt[i]), i)
+
+    def loss_at(params):
+        for name, value in params.items():
+            model.tape.set_param(name, value)
+        model.tape.reset()
+        res = model.forward_step(clip.frames[2], clip.gt[2], queue, instruction_ids=ids,
+                                 step_index=2, enqueue=False)
+        return composite_loss(res.decoded, clip.gt[3], cfg)[0]
+
+    params = {k: v.copy() for k, v in model.tape.param_values().items()}
+    grads = model.tape.backward(loss_at(params))
+    # grad_check reads the gradients of its first call, made at ``params``;
+    # the perturbed calls only need the loss. The loss is about 20, so at
+    # the default eps=1e-5 its rounding (about 1e-10 in the difference
+    # quotient) already fills the 1e-4 * REL_FLOOR allowed to gradients
+    # below 1e-6; eps=1e-4 keeps that noise ten times below it.
+    report = grad_check(lambda p: (loss_at(p).item(), grads), params, eps=1e-4,
+                        max_coords_per_param=3)
+    # Softmax is shift invariant per query row, so the key-projection bias
+    # has an exactly zero gradient; relative error there only measures
+    # finite-difference noise, hence an absolute bound instead.
+    key_bias = [p for p in report.params if p.name.endswith(".k.b")]
+    assert key_bias
+    for p in key_bias:
+        assert np.abs(grads[p.name]).max() <= 1e-8, p
+        assert abs(p.tape_grad) <= 1e-8 and abs(p.fd_grad) <= 1e-8, p
+    rest = [p for p in report.params if not p.name.endswith(".k.b")]
+    worst = max(rest, key=lambda p: p.max_rel_err)
+    assert worst.max_rel_err <= 1e-4, f"\n{report}"

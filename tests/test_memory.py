@@ -119,9 +119,14 @@ class TestQueue:
 
 
 class LayerFixture:
-    def __init__(self, seed=0, dtype="float64", cfg=None):
+    """A memory layer and its seeded inputs; fixtures built with the same
+    seed draw identical queues and tokens whatever their ``mode``."""
+
+    def __init__(self, seed=0, dtype="float64", cfg=None, mode=None):
         self.cfg = cfg or Config(d=8, heads=1, pose_dim=6, num_queries=2, raster=16,
                                  patch=8, text_len=4, memory_size=4, memory_heads=1)
+        if mode is not None:
+            self.cfg = self.cfg.replace(memory_mode=mode)
         self.tape = T.Tape(dtype)
         self.layer = MemoryLayer(self.tape, self.cfg)
         self.rng = np.random.default_rng(seed)
@@ -141,6 +146,18 @@ class LayerFixture:
         self.tape.set_param("memory.alpha", np.asarray(float(v)))
 
 
+def outputs_by_mode(modes, seed, alpha, entries):
+    """Layer outputs under each mode, on identical seeded queue and tokens,
+    with every current token inside the ROI mask."""
+    outs = []
+    for mode in modes:
+        f = LayerFixture(seed=seed, mode=mode)
+        f.set_alpha(alpha)
+        q = f.queue_with(entries)
+        outs.append(f.layer.forward(q, f.tokens(), np.ones(f.tok)).value)
+    return outs
+
+
 class TestMemoryForward:
     def test_empty_queue_identity(self):
         f = LayerFixture()
@@ -151,45 +168,34 @@ class TestMemoryForward:
     def test_attention_rows_sum_to_one_implicitly(self):
         # output minus residual must be a convex combination of queue values:
         # check by attending into a queue of identical rows
-        f = LayerFixture()
+        f = LayerFixture(mode=OFF)
         q = MemoryQueue(capacity=4, token_count=f.tok, dim=8)
         row = f.rng.normal(0, 1, 8)
         q.enqueue(np.tile(row, (f.tok, 1)), np.zeros(f.tok), 0)
         e = f.tokens()
-        out = f.layer.forward(q, e, np.zeros(f.tok), mode=OFF)
+        out = f.layer.forward(q, e, np.zeros(f.tok))
         npt.assert_allclose(out.value - e.value, np.tile(row, (f.tok, 1)), atol=1e-12)
 
     def test_literal_mode_equals_off_for_any_alpha(self):
         for alpha in (0.0, 1.0, 10.0, 50.0):
-            f = LayerFixture(seed=1)
-            f.set_alpha(alpha)
-            q = f.queue_with(3)
-            e = f.tokens()
-            off = f.layer.forward(q, e, np.ones(f.tok), mode=OFF)
-            lit = f.layer.forward(q, e, np.ones(f.tok), mode=QUERY_BROADCAST_LITERAL)
-            npt.assert_allclose(lit.value, off.value, atol=1e-12)
+            off, lit = outputs_by_mode((OFF, QUERY_BROADCAST_LITERAL), seed=1, alpha=alpha,
+                                       entries=3)
+            npt.assert_allclose(lit, off, atol=1e-12)
 
     def test_all_modes_agree_at_alpha_zero(self):
-        f = LayerFixture(seed=2)
-        f.set_alpha(0.0)
-        q = f.queue_with(2)
-        e = f.tokens()
-        m = np.ones(f.tok)
-        outs = [
-            f.layer.forward(q, e, m, mode=mode).value
-            for mode in (OFF, KEY_BROADCAST, QUERY_BROADCAST_LITERAL)
-        ]
+        outs = outputs_by_mode((OFF, KEY_BROADCAST, QUERY_BROADCAST_LITERAL), seed=2,
+                               alpha=0.0, entries=2)
         npt.assert_array_equal(outs[0], outs[1])
         npt.assert_array_equal(outs[0], outs[2])
 
     def test_key_broadcast_concentrates_on_single_masked_key(self):
-        f = LayerFixture(seed=3)
+        f = LayerFixture(seed=3, mode=KEY_BROADCAST)
         f.set_alpha(50.0)
         mask = np.zeros(f.tok, dtype=np.uint8)
         mask[1] = 1  # exactly one masked key token in the single entry
         q = f.queue_with(1, mask=mask)
         e = f.tokens()
-        out = f.layer.forward(q, e, np.zeros(f.tok), mode=KEY_BROADCAST)
+        out = f.layer.forward(q, e, np.zeros(f.tok))
         # reconstruct attention weights directly from the softmax oracle
         keys = q.flat_keys(np.float64)
         scores = (e.value @ keys.T) / np.sqrt(8) + 50.0 * q.flat_masks()
@@ -217,9 +223,9 @@ class TestMemoryForward:
             prev = mass
 
     def test_mode_validation_and_shape_checks(self):
-        f = LayerFixture()
         with pytest.raises(UsageError):
-            f.layer.forward(f.queue_with(1), f.tokens(), np.zeros(f.tok), mode="nope")
+            Config(memory_mode="nope")
+        f = LayerFixture()
         with pytest.raises(DimensionError):
             f.layer.forward(f.queue_with(1), f.tokens(), np.zeros(f.tok - 1))
 
