@@ -1,7 +1,7 @@
 """Command-line entry points: gen / train / eval / stream / bench.
 
 Exit codes: 0 success, 1 usage error, 2 data or format error, 3 numerical
-failure. ``SFHAND_THREADS`` caps clip-parallel evaluation workers.
+failure.
 """
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .data import SCENARIOS, ClipSample, generate_synthetic, read_clipfile, writ
 from .errors import DataFormatError, NumericalError, UsageError
 from .hand import synthetic_joints
 from .harness import evaluate_model
+from .metrics import MetricAccumulator
 from .model import ForecastModel
 from .stream import bench, rollout
 from .train import train, write_loss_curve
@@ -65,13 +65,6 @@ def _config_from_args(args) -> Config:
         if v is not None:
             base[f.name] = v
     return Config.from_dict(base)
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SFHAND_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +132,7 @@ def cmd_eval(args) -> int:
             raise UsageError("--checkpoint is required unless --mode static")
         model, _ = restore_model(args.checkpoint, overrides)
         cfg = model.cfg
-    report = evaluate_model(model, clips, args.mode, workers=_workers())
+    report = evaluate_model(model, clips, args.mode)
     row = {
         "mode": args.mode,
         "ablate": sorted(args.ablate or []),
@@ -163,8 +156,10 @@ def cmd_stream(args) -> int:
     if not 0 <= args.index < len(clips):
         raise UsageError(f"clip index {args.index} out of range (0..{len(clips) - 1})")
     clip = clips[args.index]
-    forecasts, report, _ = rollout(model, clip, mode=args.mode)
-    for k, v in report.to_dict().items():
+    forecasts, _ = rollout(model, clip, mode=args.mode)
+    acc = MetricAccumulator()
+    acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
+    for k, v in acc.report().to_dict().items():
         print(f"{k} = {v}")
     if args.emit_trace:
         trace = ClipSample(

@@ -15,7 +15,7 @@ OFF = "off"
 MEMORY_MODES = (KEY_BROADCAST, QUERY_BROADCAST_LITERAL, OFF)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Config:
     d: int = 64                      # embedding dim
     heads: int = 4                   # attention heads in encoder/decoder blocks

@@ -1,15 +1,14 @@
 """Input encoders: byte-level text, patch-based visual, masked hand.
 
-Each encoder is a small pre-LN transformer producing role-tagged tokens of
-a shared dimension d. The text encoder masks PAD positions out of
+Each encoder is a small pre-LN transformer that returns its tokens as one
+(n, d) tensor of the shared dimension d; visual tokens are in row-major
+patch-grid order. The text encoder masks PAD positions out of
 attention; the hand encoder masks invisible hand slots and zeroes their
 output tokens.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,41 +22,6 @@ from .tensor import Tape, Tensor
 PAD_ID = 256
 BOS_ID = 257
 VOCAB = 258
-
-
-class Role(enum.Enum):
-    TEXT = "text"
-    VISUAL = "visual"
-    HAND = "hand"
-
-
-@dataclass
-class TokenSequence:
-    """Embedding rows plus per-token role and (for visual) grid coordinate."""
-
-    emb: Tensor  # (n, d)
-    roles: list[Role]
-    patch_index: list[Optional[tuple[int, int]]]
-
-    def __post_init__(self):
-        n = self.emb.value.shape[0]
-        if len(self.roles) != n or len(self.patch_index) != n:
-            raise DimensionError("token metadata length disagrees with embeddings")
-        for role, pi in zip(self.roles, self.patch_index):
-            if role is Role.VISUAL and pi is None:
-                raise UsageError("visual tokens must carry a patch index")
-            if role is not Role.VISUAL and pi is not None:
-                raise UsageError("only visual tokens carry a patch index")
-
-    def __len__(self):
-        return len(self.roles)
-
-
-def concat_tokens(parts: list[TokenSequence]) -> TokenSequence:
-    emb = T.concat([p.emb for p in parts], axis=0)
-    roles = [r for p in parts for r in p.roles]
-    patch = [pi for p in parts for pi in p.patch_index]
-    return TokenSequence(emb, roles, patch)
 
 
 def tokenize_text(instruction: str, text_len: int = 16) -> np.ndarray:
@@ -116,7 +80,7 @@ class TextEncoder:
         ]
         self.ln_out = blocks.init_layernorm(tape, "text.ln_out", d)
 
-    def __call__(self, ids: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> TokenSequence:
+    def __call__(self, ids: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
         ids = np.asarray(ids)
         if ids.shape != (self.cfg.text_len,):
             raise DimensionError(f"expected {self.cfg.text_len} token ids, got {ids.shape}")
@@ -125,9 +89,7 @@ class TextEncoder:
         x = T.add(T.embedding(self.embed, ids), self.pos)
         for p in self.blocks:
             x = blocks.encoder_block(x, p, self.cfg.heads, key_mask=pad_mask)
-        x = blocks.layer_norm(x, self.ln_out)
-        n = self.cfg.text_len
-        return TokenSequence(x, [Role.TEXT] * n, [None] * n)
+        return blocks.layer_norm(x, self.ln_out)
 
 
 class VisualEncoder:
@@ -154,16 +116,13 @@ class VisualEncoder:
         tiled = frame.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4)
         return tiled.reshape(g * g, p * p * 3)
 
-    def __call__(self, frame: np.ndarray) -> TokenSequence:
+    def __call__(self, frame: np.ndarray) -> Tensor:
         tape = self.pos.tape
         x = blocks.linear(tape.constant(self.patches(frame)), self.proj)
         x = T.add(x, self.pos)
         for p in self.blocks:
             x = blocks.encoder_block(x, p, self.cfg.heads)
-        x = blocks.layer_norm(x, self.ln_out)
-        g = self.cfg.grid
-        coords = [(i, j) for i in range(g) for j in range(g)]
-        return TokenSequence(x, [Role.VISUAL] * len(coords), coords)
+        return blocks.layer_norm(x, self.ln_out)
 
 
 class HandEncoder:
@@ -178,7 +137,7 @@ class HandEncoder:
         ]
         self.ln_out = blocks.init_layernorm(tape, "hand.ln_out", d)
 
-    def __call__(self, states) -> TokenSequence:
+    def __call__(self, states) -> Tensor:
         slots = hands_to_slots(states)
         vis = np.array(
             [1.0 if (s is not None and s.visible) else 0.0 for s in slots]
@@ -190,5 +149,4 @@ class HandEncoder:
             x = blocks.encoder_block(x, p, self.cfg.heads, key_mask=vis)
         x = blocks.layer_norm(x, self.ln_out)
         # invisible slots contribute nothing downstream
-        x = T.mul(x, tape.constant(vis[:, None]))
-        return TokenSequence(x, [Role.HAND] * 2, [None, None])
+        return T.mul(x, tape.constant(vis[:, None]))

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import Config
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, NumericalError, UsageError
 from .hand import HandState, HandType, rect_giou
 from .model import DecodedStep, _softmax_np
 from .tensor import Tensor
@@ -150,9 +150,11 @@ def composite_loss(decoded: DecodedStep, gts: list[HandState], cfg: Config):
     differentiation. Unmatched queries incur only a down-weighted
     background cross-entropy; a zero-ground-truth frame therefore has
     type loss only. Breakdown entries are the lambda-weighted
-    contributions, so a zeroed lambda reports exactly 0.
+    contributions, so a zeroed lambda reports exactly 0. Non-finite heads
+    (a diverged model) raise NumericalError before matching.
     """
-    tape = decoded.type_logits.tape
+    if not np.all(np.isfinite(decoded.stacked_values())):
+        raise NumericalError("decoded heads contain non-finite values")
     q_n = decoded.type_logits.value.shape[0]
 
     if gts:

@@ -16,15 +16,7 @@ import numpy as np
 
 from . import blocks, tensor as T
 from .config import Config
-from .encoders import (
-    HandEncoder,
-    Role,
-    TextEncoder,
-    TokenSequence,
-    VisualEncoder,
-    concat_tokens,
-    tokenize_text,
-)
+from .encoders import HandEncoder, TextEncoder, VisualEncoder, tokenize_text
 from .errors import DimensionError, UsageError
 from .hand import BBox, HandPose, HandState, HandType, Trajectory3D
 from .memory import MemoryLayer, MemoryQueue, roi_mask
@@ -62,7 +54,7 @@ class QueryPrediction:
 @dataclass
 class StepResult:
     decoded: DecodedStep
-    f_me: TokenSequence
+    f_me: Tensor                   # (n, d) tokens the decoder attends to
     e_value: Optional[np.ndarray]  # pre-augmentation current tokens (detached)
 
 
@@ -110,7 +102,7 @@ class ForecastModel:
     def encode_instruction(self, instruction: str) -> np.ndarray:
         """Detached text token values for caching across a streaming session."""
         ids = tokenize_text(instruction, self.cfg.text_len)
-        return self.text(ids).emb.value.copy()
+        return self.text(ids).value.copy()
 
     def encode_current(self, frame: Optional[np.ndarray], hands):
         """Detached current-step tokens and ROI mask, as the queue stores them."""
@@ -121,13 +113,13 @@ class ForecastModel:
             parts.append(self.hand(hands))
         if not parts:
             return None, roi_mask(hands, self.cfg)
-        e_t = parts[0] if len(parts) == 1 else concat_tokens(parts)
-        return e_t.emb.value.copy(), roi_mask(hands, self.cfg)
+        e_t = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
+        return e_t.value.copy(), roi_mask(hands, self.cfg)
 
     # -- decoding --------------------------------------------------------------
 
-    def decode(self, f_me: TokenSequence) -> DecodedStep:
-        n, d = f_me.emb.value.shape
+    def decode(self, f_me: Tensor) -> DecodedStep:
+        n, d = f_me.value.shape
         if d != self.cfg.d:
             raise DimensionError(f"memory-augmented tokens have dim {d}, expected {self.cfg.d}")
         if n > self.mem_pos.value.shape[0]:
@@ -135,7 +127,7 @@ class ForecastModel:
         pos = self.mem_pos[0:n]
         x = self.queries
         for p in self.blocks:
-            x = blocks.decoder_block(x, f_me.emb, p, self.cfg.heads, mem_pos=pos)
+            x = blocks.decoder_block(x, f_me, p, self.cfg.heads, mem_pos=pos)
         x = blocks.layer_norm(x, self.ln_out)
         return DecodedStep(
             type_logits=blocks.linear(x, self.head_type),
@@ -165,7 +157,7 @@ class ForecastModel:
         training) or as cached detached values (streaming inference).
         """
         cfg = self.cfg
-        parts: list[TokenSequence] = []
+        parts: list[Tensor] = []
         if cfg.use_video:
             if frame is None:
                 raise UsageError("video enabled but no frame given")
@@ -175,34 +167,25 @@ class ForecastModel:
 
         mask = roi_mask(hands, cfg)
         if parts:
-            e_t = concat_tokens(parts)
-            if cfg.use_memory:
-                aug_emb = self.memory.forward(queue, e_t.emb, mask)
-            else:
-                aug_emb = e_t.emb
-            aug = TokenSequence(aug_emb, e_t.roles, e_t.patch_index)
-            e_value = e_t.emb.value
+            e_t = T.concat(parts, axis=0)
+            aug = self.memory.forward(queue, e_t, mask) if cfg.use_memory else e_t
+            e_value = e_t.value
         else:
-            e_t, aug, e_value = None, None, None
+            aug, e_value = None, None
 
-        f_parts: list[TokenSequence] = []
+        f_parts: list[Tensor] = []
         if cfg.use_text:
             if instruction_ids is not None:
                 f_parts.append(self.text(instruction_ids))
             elif instruction_values is not None:
-                n = cfg.text_len
-                f_parts.append(
-                    TokenSequence(
-                        self.tape.constant(instruction_values), [Role.TEXT] * n, [None] * n
-                    )
-                )
+                f_parts.append(self.tape.constant(instruction_values))
             else:
                 raise UsageError("text enabled but no instruction given")
         if aug is not None:
             f_parts.append(aug)
         if not f_parts:
             raise UsageError("all modalities disabled; nothing to decode from")
-        f_me = f_parts[0] if len(f_parts) == 1 else concat_tokens(f_parts)
+        f_me = f_parts[0] if len(f_parts) == 1 else T.concat(f_parts, axis=0)
 
         decoded = self.decode(f_me)
         if enqueue and cfg.use_memory and e_value is not None:

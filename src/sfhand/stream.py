@@ -21,7 +21,6 @@ import numpy as np
 from .data import ClipSample
 from .errors import UsageError
 from .hand import HandState
-from .metrics import MetricAccumulator, MetricReport
 from .model import ForecastModel
 
 SELF_FEED = "self"
@@ -91,7 +90,7 @@ class Session:
 def rollout(model: ForecastModel, clip: ClipSample, mode: str = SELF_FEED,
             record: bool = False):
     """Forecast frames 2..T from frames 1..T-1; returns (per-frame states,
-    metric report, session)."""
+    session). Scoring is left to the caller."""
     if clip.num_frames < 2:
         raise UsageError("rollout needs a clip with at least 2 frames")
     session = Session(model, clip.instruction, mode=mode, record=record)
@@ -99,19 +98,14 @@ def rollout(model: ForecastModel, clip: ClipSample, mode: str = SELF_FEED,
     forecasts = []
     for i in range(clip.num_frames - 1):
         forecasts.append(session.step(clip.frames[i], gt_hands=clip.gt[i]))
-    acc = MetricAccumulator()
-    acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
-    return forecasts, acc.report(), session
+    return forecasts, session
 
 
 def static_baseline(clip: ClipSample):
     """Every forecast equals the first observed frame's ground truth."""
     if clip.num_frames < 2:
         raise UsageError("baseline needs a clip with at least 2 frames")
-    forecasts = [list(clip.gt[0]) for _ in range(clip.num_frames - 1)]
-    acc = MetricAccumulator()
-    acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
-    return forecasts, acc.report()
+    return [list(clip.gt[0]) for _ in range(clip.num_frames - 1)]
 
 
 def batch_replay_check(model: ForecastModel, clip: ClipSample, mode: str = SELF_FEED) -> float:
@@ -122,7 +116,7 @@ def batch_replay_check(model: ForecastModel, clip: ClipSample, mode: str = SELF_
     recorded per-step inputs (frames and fed-back hand states) are reused
     so both computations see identical inputs.
     """
-    _, _, session = rollout(model, clip, mode=mode, record=True)
+    _, session = rollout(model, clip, mode=mode, record=True)
     n = model.cfg.memory_size
     worst = 0.0
     for t, rec in enumerate(session.trace):

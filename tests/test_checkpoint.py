@@ -1,8 +1,16 @@
-"""Checkpoint byte round-trip and the CLI train -> eval -> stream -> bench path."""
+"""Checkpoint byte round-trip and format errors, the CLI train -> eval ->
+stream -> bench path, and the CLI exit codes for usage, data and numerical
+failures."""
 
-from sfhand.checkpoint import restore_model, save_checkpoint
+import struct
+
+import numpy as np
+import pytest
+
+from sfhand.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from sfhand.cli import main
 from sfhand.config import Config
+from sfhand.errors import DataFormatError, TruncationError, VersionError
 from sfhand.model import ForecastModel
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
@@ -33,3 +41,52 @@ def test_cli_train_then_eval_exits_zero(tmp_path, capsys):
     assert main(["stream", "--checkpoint", ckpt, "--clip", data]) == 0
     assert main(["bench", "--checkpoint", ckpt, "--length", "20"]) == 0
     assert "constant_cost = True" in capsys.readouterr().out
+
+
+def _saved(tmp_path):
+    cfg = Config(**TINY)
+    params = ForecastModel(cfg, seed=0).tape.param_values()
+    return save_checkpoint(tmp_path / "ok.ckpt", cfg, params, step=1), cfg, params
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda b: b"XXXX" + b[4:], DataFormatError),
+    (lambda b: b[:4] + struct.pack("<I", 2) + b[8:], VersionError),
+    (lambda b: b[:-3], TruncationError),
+    (lambda b: b + b"\0", DataFormatError),
+], ids=["bad_magic", "wrong_version", "truncated", "trailing_bytes"])
+def test_load_checkpoint_rejects_corrupt_bytes(tmp_path, corrupt, error):
+    path, _, _ = _saved(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(error):
+        load_checkpoint(bad)
+    with pytest.raises(error):
+        restore_model(bad)
+
+
+def test_restore_model_rejects_shape_mismatch(tmp_path):
+    _, cfg, params = _saved(tmp_path)
+    params["decoder.queries"] = np.zeros((cfg.num_queries + 1, cfg.d), np.float32)
+    path = save_checkpoint(tmp_path / "shape.ckpt", cfg, params, step=1)
+    with pytest.raises(DataFormatError, match="decoder.queries"):
+        restore_model(path)
+
+
+def test_cli_exit_codes_for_usage_data_and_numerical_failures(tmp_path):
+    data = str(tmp_path / "clips")
+    assert main(["gen", "--scenario", "reach", "--count", "1", "--frames", "4",
+                 "--raster", "16", "--pose-dim", "6", "--out", data]) == 0
+    # usage: self mode needs a checkpoint
+    assert main(["eval", "--data", data]) == 1
+    # data: a file that is not a checkpoint
+    path, _, _ = _saved(tmp_path)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"XXXX" + path.read_bytes()[4:])
+    assert main(["eval", "--data", data, "--checkpoint", str(bad)]) == 2
+    # numerical: a learning rate that makes the model diverge
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
+    with np.errstate(all="ignore"):
+        assert main(["train", "--data", data, "--out-checkpoint",
+                     str(tmp_path / "m.ckpt"), "--steps", "2", "--batch", "2",
+                     "--learning-rate", "1e30", *flags]) == 3

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sfhand.config import Config
-from sfhand.encoders import BOS_ID, PAD_ID, Role, tokenize_text
+from sfhand.encoders import BOS_ID, PAD_ID, tokenize_text
 from sfhand.errors import DimensionError, UsageError
 from sfhand.hand import BBox, HandPose, HandState, HandType, Trajectory3D
 from sfhand.model import ForecastModel
@@ -48,17 +48,16 @@ class TestTextEncoder:
     def test_output_shape(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         out = m.text(tokenize_text("wave", 8))
-        assert out.emb.value.shape == (8, 16)
-        assert all(r is Role.TEXT for r in out.roles)
+        assert out.value.shape == (8, 16)
 
     def test_pad_content_does_not_leak(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         ids = tokenize_text("hi", 8)
         mask = (ids != PAD_ID).astype(float)
-        base = m.text(ids, pad_mask=mask).emb.value
+        base = m.text(ids, pad_mask=mask).value
         tampered = ids.copy()
         tampered[4:] = 77  # arbitrary bytes in PAD positions, mask unchanged
-        out = m.text(tampered, pad_mask=mask).emb.value
+        out = m.text(tampered, pad_mask=mask).value
         active = int(mask.sum())
         npt.assert_allclose(out[:active], base[:active], atol=1e-12)
         assert np.abs(out[active:] - base[active:]).max() > 0  # PAD rows do move
@@ -73,13 +72,12 @@ class TestVisualEncoder:
     def test_token_count_and_grid_tags(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         out = m.visual(np.zeros((16, 16, 3)))
-        assert len(out) == 4
-        assert out.patch_index == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert out.value.shape == (4, 16)
 
     def test_default_config_has_64_tokens(self):
         m = ForecastModel(Config(), seed=0)
         out = m.visual(np.zeros((64, 64, 3)))
-        assert len(out) == 64
+        assert out.value.shape == (64, 64)
 
     def test_patch_reads_its_pixels_only(self):
         m = ForecastModel(tiny_cfg(), seed=0)
@@ -103,16 +101,16 @@ class TestVisualEncoder:
 class TestHandEncoder:
     def test_both_invisible_gives_zero_tokens(self):
         m = ForecastModel(tiny_cfg(), seed=0)
-        out = m.hand([]).emb.value
+        out = m.hand([]).value
         npt.assert_array_equal(out, np.zeros((2, 16)))
 
     def test_invisible_slot_zero_and_independent(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         left = state(HandType.LEFT)
-        base = m.hand([left]).emb.value
+        base = m.hand([left]).value
         npt.assert_array_equal(base[1], np.zeros(16))
         # change the (invisible) right slot content; left token must not move
-        with_ghost = m.hand([left, state(HandType.RIGHT, cx=0.9, visible=False)]).emb.value
+        with_ghost = m.hand([left, state(HandType.RIGHT, cx=0.9, visible=False)]).value
         npt.assert_allclose(with_ghost[0], base[0], atol=1e-12)
         npt.assert_array_equal(with_ghost[1], np.zeros(16))
 
@@ -124,8 +122,8 @@ class TestHandEncoder:
     def test_visible_hands_attend_each_other(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         left = state(HandType.LEFT)
-        solo = m.hand([left]).emb.value
-        both = m.hand([left, state(HandType.RIGHT, cx=0.8)]).emb.value
+        solo = m.hand([left]).value
+        both = m.hand([left, state(HandType.RIGHT, cx=0.8)]).value
         assert np.abs(both[0] - solo[0]).max() > 1e-9  # right now influences left
 
 
@@ -139,6 +137,6 @@ def test_encoders_deterministic():
     a = ForecastModel(cfg, seed=3)
     b = ForecastModel(cfg, seed=3)
     frame = np.random.default_rng(0).uniform(0, 1, (16, 16, 3))
-    npt.assert_array_equal(a.visual(frame).emb.value, b.visual(frame).emb.value)
+    npt.assert_array_equal(a.visual(frame).value, b.visual(frame).value)
     ids = tokenize_text("turn the knob", 8)
-    npt.assert_array_equal(a.text(ids).emb.value, b.text(ids).emb.value)
+    npt.assert_array_equal(a.text(ids).value, b.text(ids).value)

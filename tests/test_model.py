@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sfhand.config import Config
-from sfhand.encoders import Role, TokenSequence, tokenize_text
+from sfhand.encoders import tokenize_text
 from sfhand.errors import UsageError
 from sfhand.hand import BBox, HandPose, HandState, HandType, Trajectory3D
 from sfhand.model import DecodedStep, ForecastModel
@@ -50,11 +50,9 @@ class TestDecode:
         m = ForecastModel(tiny_cfg(), seed=2)
         rng = np.random.default_rng(0)
         vals = rng.normal(0, 1, (10, 16))
-        seq = TokenSequence(m.tape.constant(vals), [Role.TEXT] * 10, [None] * 10)
-        base = m.decode(seq).stacked_values()
+        base = m.decode(m.tape.constant(vals)).stacked_values()
         perm = np.roll(vals, 3, axis=0)
-        seq2 = TokenSequence(m.tape.constant(perm), [Role.TEXT] * 10, [None] * 10)
-        moved = m.decode(seq2).stacked_values()
+        moved = m.decode(m.tape.constant(perm)).stacked_values()
         assert np.abs(base - moved).max() > 1e-6
 
 
@@ -62,20 +60,20 @@ class TestForwardStep:
     def test_token_counts_default_and_ablation(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         res = run_step(m)
-        assert len(res.f_me) == 8 + 4 + 2  # text + visual + hand
+        assert res.f_me.value.shape == (8 + 4 + 2, 16)  # text + visual + hand
 
         m2 = ForecastModel(tiny_cfg(use_text=False), seed=0)
         res2 = m2.forward_step(np.zeros((16, 16, 3)), [], m2.new_queue())
-        assert len(res2.f_me) == 4 + 2
+        assert res2.f_me.value.shape == (4 + 2, 16)
 
         m3 = ForecastModel(tiny_cfg(use_hand=False), seed=0)
         res3 = run_step(m3)
-        assert len(res3.f_me) == 8 + 4
+        assert res3.f_me.value.shape == (8 + 4, 16)
 
         m4 = ForecastModel(tiny_cfg(use_video=False), seed=0)
         res4 = m4.forward_step(None, [state(HandType.LEFT)], m4.new_queue(),
                                instruction_ids=tokenize_text("x", 8))
-        assert len(res4.f_me) == 8 + 2
+        assert res4.f_me.value.shape == (8 + 2, 16)
 
     def test_default_config_f_me_is_82(self):
         m = ForecastModel(Config(decoder_layers=1, text_layers=1, hand_layers=1), seed=0)
@@ -83,7 +81,7 @@ class TestForwardStep:
             np.zeros((64, 64, 3)), [], m.new_queue(),
             instruction_ids=tokenize_text("x", 16),
         )
-        assert len(res.f_me) == 82
+        assert res.f_me.value.shape == (82, 64)
 
     def test_identical_steps_differ_only_via_queue(self):
         m = ForecastModel(tiny_cfg(), seed=3)
