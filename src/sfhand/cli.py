@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import restore_model, save_checkpoint
-from .config import Config
+from .config import OFF, Config
 from .data import SCENARIOS, ClipSample, generate_synthetic, read_clipfile, write_clipfile
 from .errors import DataFormatError, NumericalError, UsageError
 from .hand import synthetic_joints
@@ -25,7 +25,14 @@ from .model import ForecastModel
 from .stream import bench, rollout
 from .train import train, write_loss_curve
 
-ABLATIONS = ("text", "video", "hand", "memory", "roi")
+# eval --ablate name -> the config override it applies
+ABLATIONS = {
+    "text": {"use_text": False},
+    "video": {"use_video": False},
+    "hand": {"use_hand": False},
+    "memory": {"use_memory": False},
+    "roi": {"memory_mode": OFF},
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,29 +109,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _apply_ablations(ablate: list[str]) -> dict:
-    overrides: dict = {}
-    for a in ablate:
-        if a == "text":
-            overrides["use_text"] = False
-        elif a == "video":
-            overrides["use_video"] = False
-        elif a == "hand":
-            overrides["use_hand"] = False
-        elif a == "memory":
-            overrides["use_memory"] = False
-        elif a == "roi":
-            overrides["memory_mode"] = "off"
-        else:
-            raise UsageError(f"unknown ablation {a!r}; choose from {ABLATIONS}")
-    return overrides
-
-
 def cmd_eval(args) -> int:
     clips = read_clipfile(args.data)
     if not clips:
         raise UsageError(f"dataset {args.data} contains no clips")
-    overrides = _apply_ablations(args.ablate or [])
+    overrides = {k: v for a in args.ablate or [] for k, v in ABLATIONS[a].items()}
     if args.mode == "static":
         model, cfg = None, Config()
     else:

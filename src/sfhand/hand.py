@@ -161,10 +161,6 @@ def bbox_iou(a: BBox, b: BBox) -> float:
     return rect_iou(a.corners(), b.corners())
 
 
-def bbox_giou(a: BBox, b: BBox) -> float:
-    return rect_giou(a.corners(), b.corners())
-
-
 # ---------------------------------------------------------------------------
 # synthetic joint rig
 

@@ -33,9 +33,6 @@ class Assignment:
     pairs: tuple[tuple[int, int], ...]
     total: float
 
-    def row_to_col(self) -> dict[int, int]:
-        return {r: c for r, c in self.pairs}
-
 
 MAX_CANDIDATES = 100_000
 

@@ -69,7 +69,6 @@ def roi_mask(states, cfg: Config) -> np.ndarray:
 class MemoryEntry:
     embedding: np.ndarray  # (tokens, d), detached values
     roi_mask: np.ndarray   # (tokens,), binary snapshot from enqueue time
-    step_index: int
 
 
 @dataclass
@@ -88,7 +87,7 @@ class MemoryQueue:
     def __len__(self):
         return len(self.entries)
 
-    def enqueue(self, embedding: np.ndarray, mask: np.ndarray, step_index: int) -> None:
+    def enqueue(self, embedding: np.ndarray, mask: np.ndarray) -> None:
         embedding = np.asarray(embedding)
         mask = np.asarray(mask)
         if embedding.shape != (self.token_count, self.dim):
@@ -100,9 +99,7 @@ class MemoryQueue:
             raise DimensionError(f"mask length {mask.shape} != {self.token_count}")
         if not np.all((mask == 0) | (mask == 1)):
             raise UsageError("roi mask entries must be 0 or 1")
-        self.entries.append(
-            MemoryEntry(embedding.copy(), mask.astype(np.uint8).copy(), step_index)
-        )
+        self.entries.append(MemoryEntry(embedding.copy(), mask.astype(np.uint8).copy()))
         if len(self.entries) > self.capacity:
             del self.entries[0]
 

@@ -2,13 +2,15 @@
 
 Trajectory metrics are in centimeters. Joint errors are wrist-aligned
 (JPE) or rigidly Procrustes-aligned (PA-JPE), with the rotation taken from
-``np.linalg.svd`` of the 3x3 cross-covariance. Recall matches predicted to
-ground-truth boxes per frame by maximal total IoU and requires both the
-IoU threshold and an exact hand-type match.
+``np.linalg.svd`` of the 3x3 cross-covariance. ``MetricAccumulator`` is
+the one scorer: it pools every clip's errors and recall counts, and an
+empty pool reports NaN, never a perfect score.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,35 +20,6 @@ from .hand import HandState, HandType, JointSet, bbox_iou, synthetic_joints
 from .matching import hungarian
 
 
-def _as_points(seq) -> np.ndarray:
-    arr = np.asarray(
-        [p.as_array() if hasattr(p, "as_array") else p for p in seq], dtype=np.float64
-    )
-    if arr.ndim != 2 or arr.shape[1] != 3:
-        raise DimensionError(f"expected (T, 3) trajectory, got {arr.shape}")
-    return arr
-
-
-def ade(pred_traj, gt_traj) -> float:
-    """Mean Euclidean distance over all forecast frames (cm)."""
-    p, g = _as_points(pred_traj), _as_points(gt_traj)
-    if p.shape != g.shape:
-        raise DimensionError(f"trajectory lengths differ: {p.shape} vs {g.shape}")
-    if p.shape[0] < 1:
-        raise DimensionError("trajectories must contain at least one frame")
-    return float(np.linalg.norm(p - g, axis=1).mean())
-
-
-def fde(pred_traj, gt_traj) -> float:
-    """Euclidean distance at the final frame (cm)."""
-    p, g = _as_points(pred_traj), _as_points(gt_traj)
-    if p.shape != g.shape:
-        raise DimensionError(f"trajectory lengths differ: {p.shape} vs {g.shape}")
-    if p.shape[0] < 1:
-        raise DimensionError("trajectories must contain at least one frame")
-    return float(np.linalg.norm(p[-1] - g[-1]))
-
-
 def jpe(pred: JointSet, gt: JointSet) -> float:
     """Wrist-aligned mean per-joint error (cm)."""
     p = pred.joints - pred.wrist
@@ -54,8 +27,8 @@ def jpe(pred: JointSet, gt: JointSet) -> float:
     return float(np.linalg.norm(p - g, axis=1).mean())
 
 
-def procrustes_align(pred, gt, with_scale: bool = False) -> np.ndarray:
-    """Optimally rotate (optionally scale) and translate pred onto gt.
+def procrustes_align(pred, gt) -> np.ndarray:
+    """Optimally rotate and translate pred onto gt.
 
     Rigid Kabsch alignment: rotation from the SVD of the cross-covariance,
     determinant-corrected to a proper rotation. Degenerate all-coincident
@@ -70,57 +43,21 @@ def procrustes_align(pred, gt, with_scale: bool = False) -> np.ndarray:
         raise NumericalError("procrustes_align input has non-finite entries")
     cp, cg = p.mean(axis=0), g.mean(axis=0)
     p0, g0 = p - cp, g - cg
-    norm_p = np.linalg.norm(p0)
-    if norm_p < 1e-12 or np.linalg.norm(g0) < 1e-12:
+    if np.linalg.norm(p0) < 1e-12 or np.linalg.norm(g0) < 1e-12:
         return p0 + cg
     h = p0.T @ g0
-    u, s, vt = np.linalg.svd(h)
+    u, _, vt = np.linalg.svd(h)
     v = vt.T
     d = np.sign(np.linalg.det(v @ u.T))
     corr = np.diag([1.0, 1.0, d if d != 0 else 1.0])
     r = v @ corr @ u.T
-    aligned = p0 @ r.T
-    if with_scale:
-        scale = (s * np.diag(corr)).sum() / (norm_p**2)
-        aligned = aligned * scale
-    return aligned + cg
+    return p0 @ r.T + cg
 
 
 def pa_jpe(pred: JointSet, gt: JointSet) -> float:
     """Mean per-joint error after rigid Procrustes alignment (cm)."""
-    aligned = procrustes_align(pred.joints, gt.joints, with_scale=False)
+    aligned = procrustes_align(pred.joints, gt.joints)
     return float(np.linalg.norm(aligned - gt.joints, axis=1).mean())
-
-
-def _recall_counts(pred_frames, gt_frames, iou_thresh: float) -> tuple[int, int]:
-    if len(pred_frames) != len(gt_frames):
-        raise DimensionError("prediction/ground-truth frame counts differ")
-    recalled, total = 0, 0
-    for preds, gts in zip(pred_frames, gt_frames):
-        preds = [p for p in preds if p.visible]
-        gts = [g for g in gts if g.visible]
-        total += len(gts)
-        if not gts or not preds:
-            continue
-        iou = np.zeros((len(preds), len(gts)))
-        for i, p in enumerate(preds):
-            for j, g in enumerate(gts):
-                iou[i, j] = bbox_iou(p.bbox, g.bbox)
-        for i, j in hungarian(-iou).pairs:
-            if iou[i, j] >= iou_thresh and preds[i].hand_type is gts[j].hand_type:
-                recalled += 1
-    return recalled, total
-
-
-def recall_at_iou(pred_frames, gt_frames, iou_thresh: float = 0.5) -> float:
-    """Fraction of ground-truth hands recalled at the IoU threshold.
-
-    Per frame, predictions are matched to ground truths maximizing total
-    IoU; a ground truth is recalled iff its match clears the threshold
-    and has the same hand type. Defined as 1.0 when no ground truth exists.
-    """
-    recalled, total = _recall_counts(pred_frames, gt_frames, iou_thresh)
-    return 1.0 if total == 0 else recalled / total
 
 
 # ---------------------------------------------------------------------------
@@ -129,28 +66,26 @@ def recall_at_iou(pred_frames, gt_frames, iou_thresh: float = 0.5) -> float:
 
 @dataclass
 class MetricReport:
+    """Pooled metrics; NaN where nothing was pooled (no scored hand pair,
+    or no ground-truth hand for recall and coverage)."""
+
     ade_cm: float
     fde_cm: float
     jpe_cm: float
     pa_jpe_cm: float
     recall_at_05: float
+    coverage: float  # scored hands over ground-truth hands
     frames: int
     hands: int
 
     def __post_init__(self):
-        if not 0.0 <= self.recall_at_05 <= 1.0:
-            raise DimensionError("recall must lie in [0, 1]")
+        for name in ("recall_at_05", "coverage"):
+            v = getattr(self, name)
+            if not (0.0 <= v <= 1.0 or math.isnan(v)):
+                raise DimensionError(f"{name} must lie in [0, 1] or be NaN")
 
     def to_dict(self) -> dict:
-        return {
-            "ade_cm": self.ade_cm,
-            "fde_cm": self.fde_cm,
-            "jpe_cm": self.jpe_cm,
-            "pa_jpe_cm": self.pa_jpe_cm,
-            "recall_at_05": self.recall_at_05,
-            "frames": self.frames,
-            "hands": self.hands,
-        }
+        return dataclasses.asdict(self)
 
 
 def _joints_for(state: HandState, stored: JointSet | None) -> JointSet:
@@ -163,7 +98,9 @@ class MetricAccumulator:
 
     Hands missing from either side of a frame are skipped in trajectory
     and pose metrics (recall captures the misses). FDE uses each
-    (clip, hand) instance's last evaluable frame.
+    (clip, hand) instance's last evaluable frame. Recall matches a frame's
+    predicted to ground-truth boxes by maximal total IoU; a ground truth
+    is recalled iff its match clears IoU 0.5 and has the same hand type.
     """
 
     displacements: list = field(default_factory=list)
@@ -182,8 +119,10 @@ class MetricAccumulator:
         last_final: dict[HandType, float] = {}
         for t, (preds, gts) in enumerate(zip(pred_frames, gt_frames)):
             stored = gt_joints_frames[t] if gt_joints_frames else {}
-            pred_by = {p.hand_type: p for p in preds if p.visible}
-            gt_by = {g.hand_type: g for g in gts if g.visible}
+            preds = [p for p in preds if p.visible]
+            gts = [g for g in gts if g.visible]
+            pred_by = {p.hand_type: p for p in preds}
+            gt_by = {g.hand_type: g for g in gts}
             for ht, g in gt_by.items():
                 p = pred_by.get(ht)
                 if p is None:
@@ -195,21 +134,28 @@ class MetricAccumulator:
                 pj = synthetic_joints(p.pose, p.traj)
                 self.jpes.append(jpe(pj, gj))
                 self.pa_jpes.append(pa_jpe(pj, gj))
+            self.gt_total += len(gts)
+            if preds and gts:
+                iou = np.array([[bbox_iou(p.bbox, g.bbox) for g in gts] for p in preds])
+                for i, j in hungarian(-iou).pairs:
+                    if iou[i, j] >= 0.5 and preds[i].hand_type is gts[j].hand_type:
+                        self.recalled += 1
         self.finals.extend(last_final.values())
-        rec, tot = _recall_counts(pred_frames, gt_frames, 0.5)
-        self.recalled += rec
-        self.gt_total += tot
 
     def report(self) -> MetricReport:
         def mean(xs):
-            return float(np.mean(xs)) if xs else 0.0
+            return float(np.mean(xs)) if xs else math.nan
+
+        def per_gt(count):
+            return count / self.gt_total if self.gt_total else math.nan
 
         return MetricReport(
             ade_cm=mean(self.displacements),
             fde_cm=mean(self.finals),
             jpe_cm=mean(self.jpes),
             pa_jpe_cm=mean(self.pa_jpes),
-            recall_at_05=1.0 if self.gt_total == 0 else self.recalled / self.gt_total,
+            recall_at_05=per_gt(self.recalled),
+            coverage=per_gt(len(self.displacements)),
             frames=self.frames,
             hands=len(self.displacements),
         )

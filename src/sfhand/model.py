@@ -43,19 +43,10 @@ class DecodedStep:
         )
 
 
-@dataclass(frozen=True)
-class QueryPrediction:
-    type_probs: np.ndarray
-    bbox: BBox
-    pose: HandPose
-    traj: Trajectory3D
-
-
 @dataclass
 class StepResult:
     decoded: DecodedStep
-    f_me: Tensor                   # (n, d) tokens the decoder attends to
-    e_value: Optional[np.ndarray]  # pre-augmentation current tokens (detached)
+    f_me: Tensor  # (n, d) tokens the decoder attends to
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
@@ -105,16 +96,17 @@ class ForecastModel:
         return self.text(ids).value.copy()
 
     def encode_current(self, frame: Optional[np.ndarray], hands):
-        """Detached current-step tokens and ROI mask, as the queue stores them."""
-        parts = []
+        """Current-step visual+hand tokens on the tape (None when both
+        modalities are off) and their ROI mask; the queue stores these."""
+        parts: list[Tensor] = []
         if self.cfg.use_video:
+            if frame is None:
+                raise UsageError("video enabled but no frame given")
             parts.append(self.visual(frame))
         if self.cfg.use_hand:
             parts.append(self.hand(hands))
-        if not parts:
-            return None, roi_mask(hands, self.cfg)
-        e_t = parts[0] if len(parts) == 1 else T.concat(parts, axis=0)
-        return e_t.value.copy(), roi_mask(hands, self.cfg)
+        e_t = T.concat(parts, axis=0) if parts else None
+        return e_t, roi_mask(hands, self.cfg)
 
     # -- decoding --------------------------------------------------------------
 
@@ -148,8 +140,6 @@ class ForecastModel:
         *,
         instruction_ids: Optional[np.ndarray] = None,
         instruction_values: Optional[np.ndarray] = None,
-        step_index: int = 0,
-        enqueue: bool = True,
     ) -> StepResult:
         """Encode inputs, run the memory layer, decode, enqueue.
 
@@ -157,21 +147,10 @@ class ForecastModel:
         training) or as cached detached values (streaming inference).
         """
         cfg = self.cfg
-        parts: list[Tensor] = []
-        if cfg.use_video:
-            if frame is None:
-                raise UsageError("video enabled but no frame given")
-            parts.append(self.visual(frame))
-        if cfg.use_hand:
-            parts.append(self.hand(hands))
-
-        mask = roi_mask(hands, cfg)
-        if parts:
-            e_t = T.concat(parts, axis=0)
-            aug = self.memory.forward(queue, e_t, mask) if cfg.use_memory else e_t
-            e_value = e_t.value
-        else:
-            aug, e_value = None, None
+        e_t, mask = self.encode_current(frame, hands)
+        aug = e_t
+        if cfg.use_memory and e_t is not None:
+            aug = self.memory.forward(queue, e_t, mask)
 
         f_parts: list[Tensor] = []
         if cfg.use_text:
@@ -188,9 +167,9 @@ class ForecastModel:
         f_me = f_parts[0] if len(f_parts) == 1 else T.concat(f_parts, axis=0)
 
         decoded = self.decode(f_me)
-        if enqueue and cfg.use_memory and e_value is not None:
-            queue.enqueue(e_value, mask, step_index)
-        return StepResult(decoded=decoded, f_me=f_me, e_value=e_value)
+        if cfg.use_memory and e_t is not None:
+            queue.enqueue(e_t.value, mask)
+        return StepResult(decoded=decoded, f_me=f_me)
 
     # -- prediction -> hand states ---------------------------------------------
 

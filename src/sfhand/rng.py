@@ -54,9 +54,6 @@ class Xorshift64Star:
             if u <= limit:
                 return u % n
 
-    def choice(self, seq):
-        return seq[self.randint(len(seq))]
-
 
 def derive_seed(seed: int, index: int) -> int:
     """Per-item stream seed: base seed XOR item index (scrambled at init)."""

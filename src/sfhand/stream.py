@@ -32,7 +32,6 @@ class StepRecord:
     frame: np.ndarray
     hands_in: list[HandState]
     outputs: np.ndarray  # decoded head values, stacked
-    predictions: list[HandState]
 
 
 @dataclass
@@ -43,7 +42,6 @@ class Session:
     instruction: str
     mode: str = SELF_FEED
     record: bool = False
-    steps: int = 0
     last_states: list[HandState] = field(default_factory=list)
     trace: list[StepRecord] = field(default_factory=list)
 
@@ -75,15 +73,13 @@ class Session:
             hands_in,
             self.queue,
             instruction_values=self.instruction_values,
-            step_index=self.steps,
         )
         preds = self.model.select_hands(res.decoded)
         if self.record:
             self.trace.append(
-                StepRecord(frame, hands_in, res.decoded.stacked_values(), preds)
+                StepRecord(frame, hands_in, res.decoded.stacked_values())
             )
         self.last_states = preds
-        self.steps += 1
         return preds
 
 
@@ -114,27 +110,25 @@ def batch_replay_check(model: ForecastModel, clip: ClipSample, mode: str = SELF_
     Every step t is recomputed by re-encoding the window of frames the
     queue could have seen, rebuilding the queue, and decoding once. The
     recorded per-step inputs (frames and fed-back hand states) are reused
-    so both computations see identical inputs.
+    so both computations see identical inputs. The replayed step enqueues
+    into its fresh queue, which is then dropped.
     """
     _, session = rollout(model, clip, mode=mode, record=True)
     n = model.cfg.memory_size
     worst = 0.0
     for t, rec in enumerate(session.trace):
         fresh = model.new_queue()
-        if model.cfg.use_memory:
-            for s in range(max(0, t - n), t):
-                past = session.trace[s]
+        if model.cfg.use_memory and model.cfg.memory_token_count():
+            for past in session.trace[max(0, t - n):t]:
                 model.tape.reset()
-                e_val, mask = model.encode_current(past.frame, past.hands_in)
-                fresh.enqueue(e_val, mask, s)
+                e_t, mask = model.encode_current(past.frame, past.hands_in)
+                fresh.enqueue(e_t.value, mask)
         model.tape.reset()
         res = model.forward_step(
             rec.frame,
             rec.hands_in,
             fresh,
             instruction_values=session.instruction_values,
-            step_index=t,
-            enqueue=False,
         )
         diff = np.abs(res.decoded.stacked_values() - rec.outputs)
         worst = max(worst, float(diff.max()) if diff.size else 0.0)

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, UsageError
+from .errors import DimensionError, UsageError
 
 _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
@@ -26,23 +26,14 @@ _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """One node of the tape: an immutable array plus its backward rule."""
 
-    __slots__ = ("tape", "value", "parents", "bwd", "grad", "name")
+    __slots__ = ("tape", "value", "bwd", "grad", "name")
 
-    def __init__(self, tape: "Tape", value: np.ndarray, parents=(), bwd=None, name=None):
+    def __init__(self, tape: "Tape", value: np.ndarray, bwd=None, name=None):
         self.tape = tape
         self.value = value
-        self.parents = parents
         self.bwd = bwd
         self.grad: Optional[np.ndarray] = None
         self.name = name
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def ndim(self):
-        return self.value.ndim
 
     def item(self) -> float:
         return float(self.value)
@@ -51,53 +42,19 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.value.shape}{tag})"
 
-    # Operator sugar; all routes into the module-level ops below.
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(self.tape, other), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_lift(self.tape, other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
-
-    @property
-    def T(self):
-        return transpose(self)
 
 
 class Tape:
     """Ordered op records plus named leaf parameters."""
 
-    def __init__(self, dtype="float32", check_finite: bool = False):
+    def __init__(self, dtype="float32"):
         self.dtype = np.dtype(dtype)
         if self.dtype not in _ALLOWED_DTYPES:
             raise UsageError(f"unsupported dtype {dtype!r}; use float32 or float64")
         self.params: dict[str, Tensor] = {}
         self.nodes: list[Tensor] = []
-        self.check_finite = check_finite
 
     def parameter(self, name: str, value) -> Tensor:
         if name in self.params:
@@ -150,10 +107,8 @@ class Tape:
         }
 
 
-def _record(tape: Tape, value: np.ndarray, parents, bwd) -> Tensor:
-    if tape.check_finite and not np.all(np.isfinite(value)):
-        raise NumericalError("non-finite value produced by a tape op")
-    t = Tensor(tape, value, parents, bwd)
+def _record(tape: Tape, value: np.ndarray, bwd) -> Tensor:
+    t = Tensor(tape, value, bwd)
     tape.nodes.append(t)
     return t
 
@@ -195,7 +150,7 @@ def add(a, b) -> Tensor:
         _acc(a, _unbroadcast(g, a.value.shape))
         _acc(b, _unbroadcast(g, b.value.shape))
 
-    return _record(tape, val, (a, b), bwd)
+    return _record(tape, val, bwd)
 
 
 def sub(a, b) -> Tensor:
@@ -207,7 +162,7 @@ def sub(a, b) -> Tensor:
         _acc(a, _unbroadcast(g, a.value.shape))
         _acc(b, _unbroadcast(-g, b.value.shape))
 
-    return _record(tape, val, (a, b), bwd)
+    return _record(tape, val, bwd)
 
 
 def mul(a, b) -> Tensor:
@@ -219,7 +174,7 @@ def mul(a, b) -> Tensor:
         _acc(a, _unbroadcast(g * b.value, a.value.shape))
         _acc(b, _unbroadcast(g * a.value, b.value.shape))
 
-    return _record(tape, val, (a, b), bwd)
+    return _record(tape, val, bwd)
 
 
 def div(a, b) -> Tensor:
@@ -231,14 +186,7 @@ def div(a, b) -> Tensor:
         _acc(a, _unbroadcast(g / b.value, a.value.shape))
         _acc(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
 
-    return _record(tape, val, (a, b), bwd)
-
-
-def neg(a: Tensor) -> Tensor:
-    def bwd(g):
-        _acc(a, -g)
-
-    return _record(a.tape, -a.value, (a,), bwd)
+    return _record(tape, val, bwd)
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -248,7 +196,7 @@ def abs_(a: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, g * sign)
 
-    return _record(a.tape, np.abs(a.value), (a,), bwd)
+    return _record(a.tape, np.abs(a.value), bwd)
 
 
 def maximum(a, b) -> Tensor:
@@ -260,7 +208,7 @@ def maximum(a, b) -> Tensor:
         _acc(a, _unbroadcast(g * awins, a.value.shape))
         _acc(b, _unbroadcast(g * ~awins, b.value.shape))
 
-    return _record(tape, np.maximum(a.value, b.value), (a, b), bwd)
+    return _record(tape, np.maximum(a.value, b.value), bwd)
 
 
 def minimum(a, b) -> Tensor:
@@ -272,7 +220,7 @@ def minimum(a, b) -> Tensor:
         _acc(a, _unbroadcast(g * awins, a.value.shape))
         _acc(b, _unbroadcast(g * ~awins, b.value.shape))
 
-    return _record(tape, np.minimum(a.value, b.value), (a, b), bwd)
+    return _record(tape, np.minimum(a.value, b.value), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +250,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _acc(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
         _acc(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
 
-    return _record(tape, val, (a, b), bwd)
+    return _record(tape, val, bwd)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -312,14 +260,14 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     def bwd(g):
         _acc(a, np.transpose(g, inverse))
 
-    return _record(a.tape, np.transpose(a.value, axes), (a,), bwd)
+    return _record(a.tape, np.transpose(a.value, axes), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     def bwd(g):
         _acc(a, g.reshape(a.value.shape))
 
-    return _record(a.tape, a.value.reshape(shape), (a,), bwd)
+    return _record(a.tape, a.value.reshape(shape), bwd)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -337,7 +285,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             idx[axis] = slice(lo, hi)
             _acc(t, g[tuple(idx)])
 
-    return _record(tape, val, tuple(tensors), bwd)
+    return _record(tape, val, bwd)
 
 
 def slice_(a: Tensor, key) -> Tensor:
@@ -349,7 +297,7 @@ def slice_(a: Tensor, key) -> Tensor:
         np.add.at(full, key, g)
         _acc(a, full)
 
-    return _record(a.tape, val, (a,), bwd)
+    return _record(a.tape, val, bwd)
 
 
 def embedding(table: Tensor, ids) -> Tensor:
@@ -364,7 +312,7 @@ def embedding(table: Tensor, ids) -> Tensor:
         np.add.at(full, ids, g)
         _acc(table, full)
 
-    return _record(table.tape, val, (table,), bwd)
+    return _record(table.tape, val, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +330,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         _acc(a, np.broadcast_to(g, a.value.shape).copy())
 
-    return _record(a.tape, val, (a,), bwd)
+    return _record(a.tape, val, bwd)
 
 
 def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -408,7 +356,7 @@ def gelu(a: Tensor) -> Tensor:
         dx = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * dinner
         _acc(a, g * dx)
 
-    return _record(a.tape, val, (a,), bwd)
+    return _record(a.tape, val, bwd)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -419,7 +367,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, g * s * (1.0 - s))
 
-    return _record(a.tape, s, (a,), bwd)
+    return _record(a.tape, s, bwd)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -433,7 +381,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         dot = (g * s).sum(axis=-1, keepdims=True)
         _acc(a, s * (g - dot))
 
-    return _record(a.tape, s, (a,), bwd)
+    return _record(a.tape, s, bwd)
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -446,7 +394,7 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     def bwd(g):
         _acc(a, g - soft * g.sum(axis=-1, keepdims=True))
 
-    return _record(a.tape, val, (a,), bwd)
+    return _record(a.tape, val, bwd)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -466,7 +414,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         _acc(a, inv * (dxhat - m1 - xhat * m2))
 
-    return _record(a.tape, val, (a, gain, bias), bwd)
+    return _record(a.tape, val, bwd)
 
 
 def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
@@ -485,13 +433,3 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
         return mul(sum_(picked), -1.0 / n)
     w = np.asarray(weights, dtype=logits.tape.dtype)
     return mul(sum_(mul(picked, logits.tape.constant(w))), -1.0 / n)
-
-
-def l1(a: Tensor, b, reduction: str = "mean") -> Tensor:
-    """Mean or summed absolute difference."""
-    d = abs_(sub(a, b))
-    if reduction == "mean":
-        return mean_(d)
-    if reduction == "sum":
-        return sum_(d)
-    raise UsageError(f"unknown l1 reduction {reduction!r}")

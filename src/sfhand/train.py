@@ -1,9 +1,10 @@
 """Teacher-forced training with adaptive moments and decoupled weight decay.
 
-One optimizer update consumes ``cfg.batch`` consecutive frames (gradient
-accumulation); the memory queue rolls through frames and resets at clip
-boundaries. Training is single-threaded and fully deterministic under a
-fixed seed.
+One optimizer update consumes the next ``cfg.batch`` frames of a stream
+of clip visits in shuffled epoch order (gradient accumulation); the memory
+queue rolls through a visit's frames, across update boundaries, and starts
+empty at each visit. Training is single-threaded and fully deterministic
+under a fixed seed.
 """
 
 from __future__ import annotations
@@ -91,80 +92,62 @@ def lr_at(cfg: Config, update: int, total: int) -> float:
     return cfg.learning_rate * (floor + (1 - floor) * 0.5 * (1 + np.cos(np.pi * frac)))
 
 
+def _frames(model: ForecastModel, clips: list[ClipSample], rng: np.random.Generator):
+    """Endless (clip, frame index, queue) over clip visits in shuffled epoch
+    order; each visit starts from an empty queue."""
+    while True:
+        for ci in rng.permutation(len(clips)):
+            queue = model.new_queue()
+            for i in range(clips[ci].num_frames - 1):
+                yield clips[ci], i, queue
+
+
 def train(model: ForecastModel, clips: list[ClipSample], *,
           steps: Optional[int] = None,
           on_record: Optional[Callable[[LossRecord], None]] = None) -> list[LossRecord]:
     """Run teacher-forced training; returns one loss record per update."""
     cfg = model.cfg
-    if not clips:
-        raise UsageError("training needs at least one clip")
+    if not any(c.num_frames >= 2 for c in clips):
+        raise UsageError("training needs at least one clip of 2 or more frames")
     total_updates = cfg.steps if steps is None else steps
     optimizer = AdamW(model, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    order_rng = np.random.default_rng(cfg.seed)
+    frames = _frames(model, clips, np.random.default_rng(cfg.seed))
     sample_rng = np.random.default_rng(cfg.seed + 1)
+    last_pred: list = []  # the previous frame's forecast, for scheduled sampling
 
     records: list[LossRecord] = []
-    grad_sum: dict[str, np.ndarray] = {}
-    frame_count = 0
-    term_sums = {"total": 0.0, "type": 0.0, "box": 0.0, "pose": 0.0, "traj": 0.0}
-    updates = 0
-
-    def flush_update():
-        nonlocal grad_sum, frame_count, updates, term_sums
-        grads = {k: v / frame_count for k, v in grad_sum.items()}
-        optimizer.lr = lr_at(cfg, updates, total_updates)
-        optimizer.step(grads)
-        updates += 1
-        rec = LossRecord(
-            step=updates,
-            total=term_sums["total"] / frame_count,
-            type=term_sums["type"] / frame_count,
-            box=term_sums["box"] / frame_count,
-            pose=term_sums["pose"] / frame_count,
-            traj=term_sums["traj"] / frame_count,
-        )
-        _check_finite(rec.__dict__, updates)
+    for update in range(total_updates):
+        grad_sum: dict[str, np.ndarray] = {}
+        term_sums = {"total": 0.0, "type": 0.0, "box": 0.0, "pose": 0.0, "traj": 0.0}
+        for _ in range(cfg.batch):
+            clip, i, queue = next(frames)
+            model.tape.reset()
+            hands_in = list(clip.gt[i])
+            if cfg.scheduled_sampling > 0 and i > 0:
+                if sample_rng.random() < cfg.scheduled_sampling:
+                    hands_in = last_pred
+            res = model.forward_step(
+                clip.frames[i], hands_in, queue,
+                instruction_ids=tokenize_text(clip.instruction, cfg.text_len),
+            )
+            loss, breakdown, _ = composite_loss(res.decoded, clip.gt[i + 1], cfg)
+            _check_finite(breakdown, update + 1)
+            for k, g in model.tape.backward(loss).items():
+                if k in grad_sum:
+                    grad_sum[k] += g.astype(np.float64)
+                else:
+                    grad_sum[k] = g.astype(np.float64)
+            for k in term_sums:
+                term_sums[k] += breakdown[k]
+            if cfg.scheduled_sampling > 0:
+                last_pred = model.select_hands(res.decoded)
+        optimizer.lr = lr_at(cfg, update, total_updates)
+        optimizer.step({k: v / cfg.batch for k, v in grad_sum.items()})
+        rec = LossRecord(step=update + 1, **{k: v / cfg.batch for k, v in term_sums.items()})
+        _check_finite(rec.__dict__, update + 1)
         records.append(rec)
         if on_record:
             on_record(rec)
-        grad_sum = {}
-        frame_count = 0
-        term_sums = {k: 0.0 for k in term_sums}
-
-    while updates < total_updates:
-        epoch = order_rng.permutation(len(clips))
-        for ci in epoch:
-            clip = clips[ci]
-            queue = model.new_queue()
-            ids = tokenize_text(clip.instruction, cfg.text_len)
-            last_pred = list(clip.gt[0])
-            for i in range(clip.num_frames - 1):
-                model.tape.reset()
-                hands_in = list(clip.gt[i])
-                if cfg.scheduled_sampling > 0 and i > 0:
-                    if sample_rng.random() < cfg.scheduled_sampling:
-                        hands_in = last_pred
-                res = model.forward_step(
-                    clip.frames[i], hands_in, queue,
-                    instruction_ids=ids, step_index=i,
-                )
-                loss, breakdown, _ = composite_loss(res.decoded, clip.gt[i + 1], cfg)
-                _check_finite(breakdown, updates + 1)
-                grads = model.tape.backward(loss)
-                for k, g in grads.items():
-                    if k in grad_sum:
-                        grad_sum[k] += g.astype(np.float64)
-                    else:
-                        grad_sum[k] = g.astype(np.float64)
-                for k in term_sums:
-                    term_sums[k] += breakdown[k]
-                frame_count += 1
-                if cfg.scheduled_sampling > 0:
-                    last_pred = model.select_hands(res.decoded)
-                if frame_count >= cfg.batch:
-                    flush_update()
-                    if updates >= total_updates:
-                        return records
     return records
 
 

@@ -2,13 +2,14 @@
 stream -> bench path, and the CLI exit codes for usage, data and numerical
 failures."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from sfhand.checkpoint import load_checkpoint, restore_model, save_checkpoint
-from sfhand.cli import main
+from sfhand.cli import ABLATIONS, main
 from sfhand.config import Config
 from sfhand.errors import DataFormatError, TruncationError, VersionError
 from sfhand.model import ForecastModel
@@ -41,6 +42,31 @@ def test_cli_train_then_eval_exits_zero(tmp_path, capsys):
     assert main(["stream", "--checkpoint", ckpt, "--clip", data]) == 0
     assert main(["bench", "--checkpoint", ckpt, "--length", "20"]) == 0
     assert "constant_cost = True" in capsys.readouterr().out
+
+
+def test_cli_eval_ablations_set_their_config_field(tmp_path, capsys):
+    data = str(tmp_path / "clips")
+    ckpt = str(tmp_path / "model.ckpt")
+    assert main(["gen", "--scenario", "two_hands", "--count", "1", "--frames", "4",
+                 "--raster", "16", "--pose-dim", "6", "--out", data]) == 0
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
+    assert main(["train", "--data", data, "--out-checkpoint", ckpt,
+                 "--steps", "1", "--batch", "2", *flags]) == 0
+    expected = {"text": ("use_text", False), "video": ("use_video", False),
+                "hand": ("use_hand", False), "memory": ("use_memory", False),
+                "roi": ("memory_mode", "off")}
+    assert set(expected) == set(ABLATIONS)
+    for name, (field, value) in expected.items():
+        out = tmp_path / f"{name}.json"
+        capsys.readouterr()
+        assert main(["eval", "--data", data, "--checkpoint", ckpt, "--ablate", name,
+                     "--out", str(out)]) == 0
+        assert "coverage = " in capsys.readouterr().out
+        row = json.loads(out.read_text())
+        assert row["ablate"] == [name]
+        assert row["config"][field] == value
+        untouched = {f for f, _ in expected.values()} - {field}
+        assert all(row["config"][f] == Config().to_dict()[f] for f in untouched)
 
 
 def _saved(tmp_path):

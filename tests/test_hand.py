@@ -12,12 +12,17 @@ from sfhand.hand import (
     HandPose,
     JointSet,
     Trajectory3D,
-    bbox_giou,
     bbox_iou,
     rect_giou,
     rect_iou,
     synthetic_joints,
 )
+
+
+def corner_giou(a, b):
+    """GIoU of two boxes through their clamped corners."""
+    return rect_giou(a.corners(), b.corners())
+
 
 boxes = st.builds(
     BBox,
@@ -47,7 +52,7 @@ class TestIoU:
 class TestGIoU:
     def test_identical_gives_one(self):
         b = BBox(0.5, 0.5, 0.4, 0.4)
-        assert bbox_giou(b, b) == pytest.approx(1.0)
+        assert corner_giou(b, b) == pytest.approx(1.0)
 
     def test_separated_unit_boxes(self):
         # corners (0,0,1,1) vs (9,0,10,1): IoU 0, union 2, enclose 10
@@ -59,16 +64,16 @@ class TestGIoU:
     @settings(max_examples=80, deadline=None)
     @given(boxes, boxes)
     def test_symmetry_and_bound(self, a, b):
-        assert bbox_giou(a, b) == pytest.approx(bbox_giou(b, a), abs=1e-12)
+        assert corner_giou(a, b) == pytest.approx(corner_giou(b, a), abs=1e-12)
         assert bbox_iou(a, b) == pytest.approx(bbox_iou(b, a), abs=1e-12)
-        assert bbox_giou(a, b) <= bbox_iou(a, b) + 1e-12
-        assert -1.0 < bbox_giou(a, b) <= 1.0
+        assert corner_giou(a, b) <= bbox_iou(a, b) + 1e-12
+        assert -1.0 < corner_giou(a, b) <= 1.0
 
     def test_giou_equals_iou_when_enclose_is_union(self):
         # Two stacked boxes whose union fills the enclosing rectangle.
         a = BBox.from_corners(0.0, 0.0, 1.0, 0.5)
         b = BBox.from_corners(0.0, 0.5, 1.0, 1.0)
-        assert bbox_giou(a, b) == pytest.approx(bbox_iou(a, b))
+        assert corner_giou(a, b) == pytest.approx(bbox_iou(a, b))
 
 
 class TestBBoxType:

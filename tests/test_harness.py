@@ -1,11 +1,13 @@
 """Held-out evaluation: one serial loop that scores each clip once."""
 
+import math
+
 import pytest
 
 from sfhand.config import Config
 from sfhand.data import generate_synthetic
 from sfhand.errors import UsageError
-from sfhand.harness import evaluate_model
+from sfhand.harness import build_benchmark, evaluate_model
 from sfhand.metrics import MetricAccumulator
 from sfhand.model import ForecastModel
 from sfhand.stream import ORACLE, SELF_FEED, rollout, static_baseline
@@ -61,3 +63,15 @@ def test_bad_arguments_raise_usage_error():
         evaluate_model(model, CLIPS, "nope")
     with pytest.raises(UsageError):
         evaluate_model(None, CLIPS, SELF_FEED)
+
+
+@pytest.mark.parametrize("mode", (SELF_FEED, ORACLE))
+def test_untrained_model_reports_nan_not_a_perfect_score(mode):
+    # At threshold 0.5 the untrained model emits no hand, so nothing is
+    # scored; an empty pool once read as ADE 0.0, a perfect score.
+    held = build_benchmark(0, raster=32)[1][:2]
+    report = evaluate_model(ForecastModel(Config(raster=32)), held, mode)
+    assert report.hands == 0 and report.frames == 30
+    for value in (report.ade_cm, report.fde_cm, report.jpe_cm, report.pa_jpe_cm):
+        assert math.isnan(value)
+    assert report.coverage == 0.0 and report.recall_at_05 == 0.0

@@ -81,7 +81,7 @@ class TestQueue:
         return MemoryQueue(capacity=capacity, token_count=4, dim=8)
 
     def entry(self, fill):
-        return np.full((4, 8), float(fill)), np.array([1, 0, 0, 1]), fill
+        return np.full((4, 8), float(fill)), np.array([1, 0, 0, 1])
 
     def test_fifo_eviction(self):
         q = self.make(3)
@@ -104,11 +104,11 @@ class TestQueue:
     def test_layout_mismatch(self):
         q = self.make()
         with pytest.raises(DimensionError):
-            q.enqueue(np.zeros((5, 8)), np.zeros(5), 0)
+            q.enqueue(np.zeros((5, 8)), np.zeros(5))
         with pytest.raises(DimensionError):
-            q.enqueue(np.zeros((4, 8)), np.zeros(3), 0)
+            q.enqueue(np.zeros((4, 8)), np.zeros(3))
         with pytest.raises(UsageError):
-            q.enqueue(np.zeros((4, 8)), np.full(4, 0.5), 0)
+            q.enqueue(np.zeros((4, 8)), np.full(4, 0.5))
 
     def test_reset_idempotent(self):
         q = self.make()
@@ -134,9 +134,9 @@ class LayerFixture:
 
     def queue_with(self, n_entries, mask=None):
         q = MemoryQueue(capacity=self.cfg.memory_size, token_count=self.tok, dim=8)
-        for i in range(n_entries):
+        for _ in range(n_entries):
             m = self.rng.integers(0, 2, self.tok) if mask is None else mask
-            q.enqueue(self.rng.normal(0, 1, (self.tok, 8)), m, i)
+            q.enqueue(self.rng.normal(0, 1, (self.tok, 8)), m)
         return q
 
     def tokens(self):
@@ -171,7 +171,7 @@ class TestMemoryForward:
         f = LayerFixture(mode=OFF)
         q = MemoryQueue(capacity=4, token_count=f.tok, dim=8)
         row = f.rng.normal(0, 1, 8)
-        q.enqueue(np.tile(row, (f.tok, 1)), np.zeros(f.tok), 0)
+        q.enqueue(np.tile(row, (f.tok, 1)), np.zeros(f.tok))
         e = f.tokens()
         out = f.layer.forward(q, e, np.zeros(f.tok))
         npt.assert_allclose(out.value - e.value, np.tile(row, (f.tok, 1)), atol=1e-12)

@@ -1,4 +1,9 @@
-"""Metric oracles: frozen arithmetic cases plus brute-force recomputation."""
+"""Metric oracles: frozen arithmetic cases plus brute-force recomputation.
+
+Displacement and recall cases go through ``MetricAccumulator``, the one
+scorer the evaluation uses."""
+
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -14,15 +19,7 @@ from sfhand.hand import (
     Trajectory3D,
     synthetic_joints,
 )
-from sfhand.metrics import (
-    MetricAccumulator,
-    ade,
-    fde,
-    jpe,
-    pa_jpe,
-    procrustes_align,
-    recall_at_iou,
-)
+from sfhand.metrics import MetricAccumulator, jpe, pa_jpe, procrustes_align
 from sfhand.matching import MAX_CANDIDATES, hungarian
 
 
@@ -34,37 +31,54 @@ def random_rotation(rng):
     return q
 
 
+def make_state(ht, cx, cy=0.5, w=0.2, h=0.2, traj=(0.0, 0.0, 50.0), visible=True):
+    return HandState(ht, BBox(cx, cy, w, h), HandPose(np.zeros(8)), Trajectory3D(*traj), visible)
+
+
+def score(pred_frames, gt_frames):
+    acc = MetricAccumulator()
+    acc.add_clip(pred_frames, gt_frames)
+    return acc.report()
+
+
+def score_track(pred_traj, gt_traj):
+    """One left hand per frame; frame t is predicted at pred_traj[t]."""
+    return score([[make_state(HandType.LEFT, 0.5, traj=tuple(p))] for p in pred_traj],
+                 [[make_state(HandType.LEFT, 0.5, traj=tuple(g))] for g in gt_traj])
+
+
 class TestDisplacement:
     def test_exact_match_zero(self):
         g = np.arange(12.0).reshape(4, 3)
-        assert ade(g, g) == 0.0
-        assert fde(g, g) == 0.0
+        rep = score_track(g, g)
+        assert rep.ade_cm == 0.0
+        assert rep.fde_cm == 0.0
 
     def test_constant_offset_345(self):
         g = np.zeros((5, 3))
-        p = g + np.array([3.0, 4.0, 0.0])
-        assert ade(p, g) == pytest.approx(5.0)
-        assert fde(p, g) == pytest.approx(5.0)
+        rep = score_track(g + np.array([3.0, 4.0, 0.0]), g)
+        assert rep.ade_cm == pytest.approx(5.0)
+        assert rep.fde_cm == pytest.approx(5.0)
 
     def test_mixed_offsets(self):
         g = np.zeros((2, 3))
-        p = np.array([[1.0, 0, 0], [0, 0, 3.0]])
-        assert ade(p, g) == pytest.approx(2.0)  # mean of 1 and 3
-        assert fde(p, g) == pytest.approx(3.0)
+        rep = score_track(np.array([[1.0, 0, 0], [0, 0, 3.0]]), g)
+        assert rep.ade_cm == pytest.approx(2.0)  # mean of 1 and 3
+        assert rep.fde_cm == pytest.approx(3.0)
 
     def test_single_frame_fde_equals_ade(self):
-        g = np.array([[1.0, 2.0, 3.0]])
-        p = np.array([[4.0, 6.0, 3.0]])
-        assert fde(p, g) == ade(p, g) == pytest.approx(5.0)
+        rep = score_track(np.array([[4.0, 6.0, 3.0]]), np.array([[1.0, 2.0, 3.0]]))
+        assert rep.fde_cm == rep.ade_cm == pytest.approx(5.0)
 
     def test_accepts_trajectory_objects(self):
         g = [Trajectory3D(0, 0, 0), Trajectory3D(1, 0, 0)]
         p = [Trajectory3D(0, 0, 1), Trajectory3D(1, 0, 1)]
-        assert ade(p, g) == pytest.approx(1.0)
+        rep = score_track([t.as_array() for t in p], [t.as_array() for t in g])
+        assert rep.ade_cm == pytest.approx(1.0)
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            ade(np.zeros((2, 3)), np.zeros((3, 3)))
+            score_track(np.zeros((2, 3)), np.zeros((3, 3)))
 
 
 class TestJPE:
@@ -109,15 +123,6 @@ class TestProcrustes:
             p = g @ r.T + t
             aligned = procrustes_align(p, g)
             assert np.abs(aligned - g).max() <= 1e-9
-
-    def test_scale_flag(self):
-        rng = np.random.default_rng(3)
-        g = rng.normal(0, 5, (21, 3))
-        p = 2.0 * g
-        with_scale = procrustes_align(p, g, with_scale=True)
-        npt.assert_allclose(with_scale, g, atol=1e-9)
-        rigid = procrustes_align(p, g, with_scale=False)
-        assert np.linalg.norm(rigid - g) > 1e-3
 
     def test_degenerate_coincident_points(self):
         p = np.tile([1.0, 2.0, 3.0], (21, 1))
@@ -173,35 +178,36 @@ class TestPAJPE:
             assert pa_jpe(a, b) <= jpe(a, b) + 1e-9
 
 
-def make_state(ht, cx, cy=0.5, w=0.2, h=0.2, traj=(0.0, 0.0, 50.0), visible=True):
-    return HandState(ht, BBox(cx, cy, w, h), HandPose(np.zeros(8)), Trajectory3D(*traj), visible)
+def recall(pred_frames, gt_frames):
+    return score(pred_frames, gt_frames).recall_at_05
 
 
 class TestRecall:
     def test_perfect(self):
         gts = [[make_state(HandType.LEFT, 0.3), make_state(HandType.RIGHT, 0.7)]]
-        assert recall_at_iou(gts, gts) == 1.0
+        assert recall(gts, gts) == 1.0
 
     def test_disjoint_boxes(self):
         gts = [[make_state(HandType.LEFT, 0.2, w=0.1, h=0.1)]]
         preds = [[make_state(HandType.LEFT, 0.8, w=0.1, h=0.1)]]
-        assert recall_at_iou(preds, gts) == 0.0
+        assert recall(preds, gts) == 0.0
 
     def test_wrong_type_not_recalled(self):
         gts = [[make_state(HandType.LEFT, 0.5)]]
         preds = [[make_state(HandType.RIGHT, 0.5)]]
-        assert recall_at_iou(preds, gts) == 0.0
+        assert recall(preds, gts) == 0.0
 
-    def test_no_gt_defined_as_one(self):
-        assert recall_at_iou([[make_state(HandType.LEFT, 0.5)]], [[]]) == 1.0
+    def test_no_gt_is_nan(self):
+        rep = score([[make_state(HandType.LEFT, 0.5)]], [[]])
+        assert math.isnan(rep.recall_at_05) and math.isnan(rep.coverage)
 
     def test_threshold_boundary(self):
         # Shifted box with IoU just above/below 0.5
         gt = make_state(HandType.LEFT, 0.5, w=0.4, h=0.4)
         near = make_state(HandType.LEFT, 0.55, w=0.4, h=0.4)  # IoU ~ 0.78
         far = make_state(HandType.LEFT, 0.5, w=0.1, h=0.1)  # IoU ~ 0.0625
-        assert recall_at_iou([[near]], [[gt]]) == 1.0
-        assert recall_at_iou([[far]], [[gt]]) == 0.0
+        assert recall([[near]], [[gt]]) == 1.0
+        assert recall([[far]], [[gt]]) == 0.0
 
     def test_matching_above_enumeration_bound_raises(self):
         # 317 x 2 has 317 * 316 = 100 172 assignments, just above the cap
@@ -228,7 +234,8 @@ class TestAccumulator:
         assert rep.ade_cm == pytest.approx((5.0 + 1.0) / 2)
         assert rep.fde_cm == pytest.approx(1.0)  # last evaluable left frame
         assert rep.frames == 2
-        assert 0.0 <= rep.recall_at_05 <= 1.0
+        assert rep.coverage == pytest.approx(2 / 3)  # 2 of 3 ground-truth hands scored
+        assert rep.recall_at_05 == pytest.approx(2 / 3)
 
     def test_uses_stored_joints_when_present(self):
         gt = make_state(HandType.LEFT, 0.5, traj=(0, 0, 10))
@@ -238,3 +245,15 @@ class TestAccumulator:
         acc.add_clip([[pred]], [[gt]], [{HandType.LEFT: stored}])
         # stored joints differ from the rig output by a translation only
         assert acc.report().jpe_cm == pytest.approx(0.0, abs=1e-9)
+
+    def test_empty_pool_reports_nan_not_zero(self):
+        # predictions that miss every ground-truth hand pool nothing
+        gt = [[make_state(HandType.LEFT, 0.5)], [make_state(HandType.RIGHT, 0.5)]]
+        rep = score([[], [make_state(HandType.LEFT, 0.5)]], gt)
+        assert rep.hands == 0 and rep.frames == 2
+        for v in (rep.ade_cm, rep.fde_cm, rep.jpe_cm, rep.pa_jpe_cm):
+            assert math.isnan(v)
+        assert rep.recall_at_05 == 0.0 and rep.coverage == 0.0
+        empty = MetricAccumulator().report()
+        assert all(math.isnan(v) for k, v in empty.to_dict().items()
+                   if k not in ("frames", "hands"))

@@ -103,10 +103,14 @@ class TestForwardStep:
     def test_enqueue_happens_after_attention(self):
         m = ForecastModel(tiny_cfg(), seed=4)
         q = m.new_queue()
-        res = run_step(m, queue=q)
+        frame = np.random.default_rng(3).uniform(0, 1, (16, 16, 3))
+        hands = [state(HandType.RIGHT)]
+        run_step(m, frame=frame, hands=hands, queue=q)
         assert len(q) == 1
-        # the enqueued entry is the pre-augmentation embedding
-        npt.assert_array_equal(q.entries[0].embedding, res.e_value)
+        # the enqueued entry is the pre-augmentation embedding and its mask
+        e_t, mask = m.encode_current(frame, hands)
+        npt.assert_array_equal(q.entries[0].embedding, e_t.value)
+        npt.assert_array_equal(q.entries[0].roi_mask, mask)
 
     def test_text_required_when_enabled(self):
         m = ForecastModel(tiny_cfg(), seed=0)

@@ -14,7 +14,7 @@ CLIP = generate_synthetic(3, "two_hands", 1, frames=4, raster=16, pose_dim=6)[0]
 
 CASES = [dict(memory_mode=mode) for mode in MEMORY_MODES] + [
     dict(use_memory=False), dict(use_text=False), dict(use_video=False),
-    dict(use_hand=False),
+    dict(use_hand=False), dict(use_video=False, use_hand=False),
 ]
 CASE_IDS = ["-".join(f"{k}={v}" for k, v in case.items()) for case in CASES]
 
