@@ -7,7 +7,6 @@ every shape against the freshly built parameter set.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 

@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import restore_model, save_checkpoint
 from .config import OFF, Config
 from .data import SCENARIOS, ClipSample, generate_synthetic, read_clipfile, write_clipfile
@@ -113,20 +111,22 @@ def cmd_eval(args) -> int:
     clips = read_clipfile(args.data)
     if not clips:
         raise UsageError(f"dataset {args.data} contains no clips")
-    overrides = {k: v for a in args.ablate or [] for k, v in ABLATIONS[a].items()}
     if args.mode == "static":
-        model, cfg = None, Config()
+        if args.ablate:
+            raise UsageError("--ablate applies to a model; --mode static has none")
+        model, config = None, None  # the baseline runs no model, so no config
     else:
         if not args.checkpoint:
             raise UsageError("--checkpoint is required unless --mode static")
+        overrides = {k: v for a in args.ablate or [] for k, v in ABLATIONS[a].items()}
         model, _ = restore_model(args.checkpoint, overrides)
-        cfg = model.cfg
+        config = model.cfg.to_dict()
     report = evaluate_model(model, clips, args.mode)
     row = {
         "mode": args.mode,
         "ablate": sorted(args.ablate or []),
         "report": report.to_dict(),
-        "config": cfg.to_dict(),
+        "config": config,
         "data": str(args.data),
     }
     for k, v in report.to_dict().items():

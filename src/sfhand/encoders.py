@@ -16,7 +16,7 @@ import numpy as np
 from . import blocks, tensor as T
 from .config import Config
 from .errors import DimensionError, UsageError
-from .hand import HandState, HandType
+from .hand import CM_PER_M, HandState, HandType
 from .tensor import Tape, Tensor
 
 PAD_ID = 256
@@ -50,7 +50,7 @@ def hand_slot_vector(state: Optional[HandState], pose_dim: int) -> np.ndarray:
     vec[state.hand_type.value] = 1.0
     vec[3:7] = state.bbox.as_array()
     vec[7 : 7 + pose_dim] = state.pose.theta
-    vec[7 + pose_dim : 10 + pose_dim] = state.traj.as_array() / 100.0
+    vec[7 + pose_dim : 10 + pose_dim] = state.traj.as_array() / CM_PER_M
     vec[10 + pose_dim] = 1.0
     return vec
 

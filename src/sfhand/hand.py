@@ -9,7 +9,7 @@ model; joint 0 (the wrist) always equals the trajectory point.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .rng import Xorshift64Star
 
 NUM_JOINTS = 21
 RIG_SEED = 3735928559  # fixed rig identity; changing it changes every JointSet
+CM_PER_M = 100.0  # trajectories are centimeters; models see them in meters
 
 
 class HandType(enum.Enum):

@@ -3,10 +3,10 @@
 The assignment solver enumerates every injective assignment, which is
 exact and cheap at this model's shapes (at most 2 ground-truth hands), and
 resolves ties to the smallest (query, target) pair list among the optima.
-The loss matches queries to ground-truth hands with the same cost
-structure it optimizes: weighted type cross-entropy, L1 + GIoU box terms,
-and L1 pose/trajectory terms (trajectory rescaled cm -> m to balance
-magnitudes).
+The loss matches queries to ground-truth hands on the very terms it
+optimizes: L1 + GIoU box, L1 pose and L1 trajectory terms (trajectory
+rescaled cm -> m to balance magnitudes), computed once for every
+query/ground-truth pair, plus a weighted type cross-entropy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from . import tensor as T
 from .config import Config
 from .errors import DimensionError, NumericalError, UsageError
-from .hand import HandState, HandType, rect_giou
+from .hand import CM_PER_M, HandState, HandType
 from .model import DecodedStep, _softmax_np
 from .tensor import Tensor
 
@@ -72,58 +72,52 @@ def hungarian(cost) -> Assignment:
 # matching cost and loss
 
 
-def _gt_arrays(gts: list[HandState], pose_dim: int):
-    boxes = np.stack([g.bbox.as_array() for g in gts])
-    pose = np.stack([g.pose.theta for g in gts])
-    traj = np.stack([g.traj.as_array() for g in gts])
-    if pose.shape[1] != pose_dim:
-        raise DimensionError(f"ground-truth pose dim {pose.shape[1]} != {pose_dim}")
-    return boxes, pose, traj
+def _lambdas(cfg: Config) -> dict[str, float]:
+    return {"type": cfg.lambda_type, "box": cfg.lambda_box,
+            "pose": cfg.lambda_pose, "traj": cfg.lambda_traj}
 
 
-def _corners_raw(boxes: np.ndarray) -> np.ndarray:
-    cx, cy, w, h = boxes.T
-    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
-
-
-def match_cost(decoded: DecodedStep, gts: list[HandState], cfg: Config) -> np.ndarray:
-    """Pairwise query/ground-truth cost mirroring the loss terms."""
+def match_cost(decoded: DecodedStep, gts: list[HandState], cfg: Config):
+    """Pairwise query/ground-truth cost, and the unweighted (Q, G) loss terms
+    on the tape it is built from, in the tape's precision (float32 by
+    default): box L1 + 1 - GIoU, mean pose L1, and trajectory L1 in meters.
+    The cost is ``lambda_type * (1 - p)`` plus their weighted values cast to
+    float64; costs equal at the tape's precision tie (smallest pair list wins)."""
     if not 1 <= len(gts) <= 2:
         raise UsageError(f"expected 1..2 ground-truth hands, got {len(gts)}")
+    gt_boxes = np.stack([g.bbox.as_array() for g in gts])
+    gt_pose = np.stack([g.pose.theta for g in gts])
+    gt_traj = np.stack([g.traj.as_array() for g in gts])
+    if gt_pose.shape[1] != cfg.pose_dim:
+        raise DimensionError(f"ground-truth pose dim {gt_pose.shape[1]} != {cfg.pose_dim}")
+    q_n = decoded.type_logits.value.shape[0]
+    # (Q, 1, k) heads broadcast against (G, k) ground truth
+    boxes, pose, traj = (T.reshape(h, (q_n, 1, -1))
+                         for h in (decoded.boxes, decoded.pose, decoded.traj))
+    terms = {
+        "box": T.add(T.sum_(T.abs_(T.sub(boxes, gt_boxes)), axis=-1),
+                     T.sub(1.0, giou_pairs(boxes, gt_boxes))),
+        "pose": T.mean_(T.abs_(T.sub(pose, gt_pose)), axis=-1),
+        "traj": T.mul(T.sum_(T.abs_(T.sub(traj, gt_traj)), axis=-1), 1.0 / CM_PER_M),
+    }
     probs = _softmax_np(decoded.type_logits.value.astype(np.float64))
-    pred_boxes = decoded.boxes.value.astype(np.float64)
-    pred_pose = decoded.pose.value.astype(np.float64)
-    pred_traj = decoded.traj.value.astype(np.float64)
-    gt_boxes, gt_pose, gt_traj = _gt_arrays(gts, cfg.pose_dim)
-
-    q_n, g_n = probs.shape[0], len(gts)
-    cost = np.zeros((q_n, g_n))
-    pc = _corners_raw(pred_boxes)
-    gc = _corners_raw(gt_boxes)
-    for q in range(q_n):
-        for g in range(g_n):
-            type_term = 1.0 - probs[q, gts[g].hand_type.value]
-            box_l1 = np.abs(pred_boxes[q] - gt_boxes[g]).sum()
-            giou = rect_giou(pc[q], gc[g])
-            pose_term = np.abs(pred_pose[q] - gt_pose[g]).mean()
-            traj_term = np.abs(pred_traj[q] - gt_traj[g]).sum() / 100.0
-            cost[q, g] = (
-                cfg.lambda_type * type_term
-                + cfg.lambda_box * (box_l1 + (1.0 - giou))
-                + cfg.lambda_pose * pose_term
-                + cfg.lambda_traj * traj_term
-            )
-    return cost
+    lambdas = _lambdas(cfg)
+    cost = lambdas["type"] * (1.0 - probs[:, [g.hand_type.value for g in gts]])
+    for name, term in terms.items():
+        cost = cost + lambdas[name] * term.value.astype(np.float64)
+    return cost, terms
 
 
 def giou_pairs(pred_boxes: Tensor, gt_boxes: np.ndarray) -> Tensor:
-    """Differentiable GIoU between paired (M, 4) center-form boxes."""
+    """Differentiable GIoU of center-form boxes; leading axes broadcast, so
+    (M, 4) with (M, 4) pairs rows and (Q, 1, 4) with (G, 4) gives (Q, G)."""
     eps = 1e-9
-    cx, cy = pred_boxes[:, 0], pred_boxes[:, 1]
-    w, h = pred_boxes[:, 2], pred_boxes[:, 3]
+    cx, cy = pred_boxes[..., 0], pred_boxes[..., 1]
+    w, h = pred_boxes[..., 2], pred_boxes[..., 3]
     x1, x2 = T.sub(cx, T.mul(w, 0.5)), T.add(cx, T.mul(w, 0.5))
     y1, y2 = T.sub(cy, T.mul(h, 0.5)), T.add(cy, T.mul(h, 0.5))
-    gx1, gy1, gx2, gy2 = _corners_raw(gt_boxes).T
+    gcx, gcy, gw, gh = np.moveaxis(gt_boxes, -1, 0)
+    gx1, gy1, gx2, gy2 = gcx - gw / 2, gcy - gh / 2, gcx + gw / 2, gcy + gh / 2
     g_area = (gx2 - gx1) * (gy2 - gy1)
 
     iw = T.maximum(T.sub(T.minimum(x2, gx2), T.maximum(x1, gx1)), 0.0)
@@ -144,7 +138,8 @@ def composite_loss(decoded: DecodedStep, gts: list[HandState], cfg: Config):
     """Matched-pair loss: returns (scalar tensor, weighted breakdown, assignment).
 
     The assignment is computed on detached values and held fixed during
-    differentiation. Unmatched queries incur only a down-weighted
+    differentiation; each box/pose/traj term is the mean of its matched
+    ``match_cost`` entries. Unmatched queries incur only a down-weighted
     background cross-entropy; a zero-ground-truth frame therefore has
     type loss only. Breakdown entries are the lambda-weighted
     contributions, so a zeroed lambda reports exactly 0. Non-finite heads
@@ -155,7 +150,8 @@ def composite_loss(decoded: DecodedStep, gts: list[HandState], cfg: Config):
     q_n = decoded.type_logits.value.shape[0]
 
     if gts:
-        assign = hungarian(match_cost(decoded, gts, cfg))
+        cost, terms = match_cost(decoded, gts, cfg)
+        assign = hungarian(cost)
     else:
         assign = Assignment(pairs=(), total=0.0)
 
@@ -166,29 +162,13 @@ def composite_loss(decoded: DecodedStep, gts: list[HandState], cfg: Config):
         weights[q] = 1.0
     type_term = T.cross_entropy(decoded.type_logits, targets, weights=weights)
 
-    terms: dict[str, Tensor | None] = {"box": None, "pose": None, "traj": None}
-    if assign.pairs:
-        rows = np.array([q for q, _ in assign.pairs])
-        order = [g for _, g in assign.pairs]
-        gt_boxes, gt_pose, gt_traj = _gt_arrays([gts[g] for g in order], cfg.pose_dim)
-        mcount = len(assign.pairs)
-        pred_b = decoded.boxes[rows]
-        box_l1 = T.mul(T.sum_(T.abs_(T.sub(pred_b, gt_boxes))), 1.0 / mcount)
-        giou = giou_pairs(pred_b, gt_boxes)
-        box_giou = T.mul(T.sum_(T.sub(1.0, giou)), 1.0 / mcount)
-        terms["box"] = T.add(box_l1, box_giou)
-        terms["pose"] = T.mean_(T.abs_(T.sub(decoded.pose[rows], gt_pose)))
-        terms["traj"] = T.mul(
-            T.sum_(T.abs_(T.sub(decoded.traj[rows], gt_traj))), 1.0 / (100.0 * mcount)
-        )
-
-    lambdas = {"type": cfg.lambda_type, "box": cfg.lambda_box,
-               "pose": cfg.lambda_pose, "traj": cfg.lambda_traj}
+    lambdas = _lambdas(cfg)
     total = T.mul(type_term, lambdas["type"])
     breakdown = {"type": lambdas["type"] * type_term.item()}
+    matched = tuple(np.array(ix) for ix in zip(*assign.pairs))  # (rows, cols)
     for name in ("box", "pose", "traj"):
-        term = terms[name]
-        if term is not None and lambdas[name] > 0.0:
+        if matched and lambdas[name] > 0.0:
+            term = T.mean_(terms[name][matched])
             total = T.add(total, T.mul(term, lambdas[name]))
             breakdown[name] = lambdas[name] * term.item()
         else:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import attend
-from .config import KEY_BROADCAST, OFF, QUERY_BROADCAST_LITERAL, Config  # noqa: F401
+from .config import KEY_BROADCAST, QUERY_BROADCAST_LITERAL, Config
 from .errors import DimensionError, UsageError
 from .tensor import Tape, Tensor
 
@@ -43,17 +43,13 @@ def roi_mask(states, cfg: Config) -> np.ndarray:
     visible = [s for s in (states or []) if s is not None and s.visible]
     if cfg.use_video:
         g = cfg.grid
+        edges = np.arange(g + 1) / g
         vis_mask = np.zeros(g * g, dtype=np.uint8)
         for s in visible:
             x1, y1, x2, y2 = s.bbox.corners()
-            for i in range(g):
-                py1, py2 = i / g, (i + 1) / g
-                if min(y2, py2) - max(y1, py1) <= 0:
-                    continue
-                for j in range(g):
-                    px1, px2 = j / g, (j + 1) / g
-                    if min(x2, px2) - max(x1, px1) > 0:
-                        vis_mask[i * g + j] = 1
+            rows = np.minimum(y2, edges[1:]) - np.maximum(y1, edges[:-1]) > 0
+            cols = np.minimum(x2, edges[1:]) - np.maximum(x1, edges[:-1]) > 0
+            vis_mask |= np.outer(rows, cols).ravel()
         parts.append(vis_mask)
     if cfg.use_hand:
         hand_mask = np.zeros(2, dtype=np.uint8)

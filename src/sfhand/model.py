@@ -18,12 +18,11 @@ from . import blocks, tensor as T
 from .config import Config
 from .encoders import HandEncoder, TextEncoder, VisualEncoder, tokenize_text
 from .errors import DimensionError, UsageError
-from .hand import BBox, HandPose, HandState, HandType, Trajectory3D
+from .hand import CM_PER_M, BBox, HandPose, HandState, HandType, Trajectory3D
 from .memory import MemoryLayer, MemoryQueue, roi_mask
 from .tensor import Tape, Tensor
 
 TRAJ_BOUND = 9999.0  # clamp head output inside the Trajectory3D sanity range
-TRAJ_SCALE = 100.0   # head learns meters; outputs are centimeters
 
 
 @dataclass
@@ -127,7 +126,7 @@ class ForecastModel:
             pose=blocks.linear(x, self.head_pose),
             # linear in centimeters; the meter-scale parameterization keeps
             # optimizer steps commensurate with the other heads
-            traj=T.mul(blocks.linear(x, self.head_traj), TRAJ_SCALE),
+            traj=T.mul(blocks.linear(x, self.head_traj), CM_PER_M),
         )
 
     # -- the full per-frame forward -------------------------------------------
@@ -173,11 +172,10 @@ class ForecastModel:
 
     # -- prediction -> hand states ---------------------------------------------
 
-    def select_hands(self, decoded: DecodedStep, threshold: Optional[float] = None) -> list[HandState]:
+    def select_hands(self, decoded: DecodedStep) -> list[HandState]:
         """At most one state per hand type: the query with the highest class
-        probability, emitted only when it clears the confidence threshold.
+        probability, emitted only when it clears ``confidence_threshold``.
         Ties break to the lower query index."""
-        thr = self.cfg.confidence_threshold if threshold is None else threshold
         probs = _softmax_np(decoded.type_logits.value.astype(np.float64))
         boxes = decoded.boxes.value
         pose = decoded.pose.value
@@ -186,7 +184,7 @@ class ForecastModel:
         for hand_type in (HandType.LEFT, HandType.RIGHT):
             col = probs[:, hand_type.value]
             q = int(np.argmax(col))
-            if col[q] < thr:
+            if col[q] < self.cfg.confidence_threshold:
                 continue
             cx, cy, w, h = (float(np.clip(v, 1e-6, 1.0)) for v in boxes[q])
             t = np.clip(traj[q].astype(np.float64), -TRAJ_BOUND, TRAJ_BOUND)

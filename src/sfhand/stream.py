@@ -160,8 +160,7 @@ class BenchResult:
         return dataclasses.asdict(self)
 
 
-def bench(model: ForecastModel, length: int, *, instruction: str = "reach the object",
-          seed: int = 0) -> BenchResult:
+def bench(model: ForecastModel, length: int, *, seed: int = 0) -> BenchResult:
     """Throughput over a synthetic endless stream, plus the work counters
     that ``BenchResult.constant_cost`` checks. Warm-up fills the queue, so
     every timed step attends over the same number of keys."""
@@ -170,7 +169,7 @@ def bench(model: ForecastModel, length: int, *, instruction: str = "reach the ob
     cfg = model.cfg
     rng = np.random.default_rng(seed)
     frames = [rng.uniform(0, 1, (cfg.raster, cfg.raster, 3)) for _ in range(8)]
-    session = Session(model, instruction, mode=SELF_FEED)
+    session = Session(model, "reach the object", mode=SELF_FEED)
     session.prime([])
     for i in range(cfg.memory_size):
         session.step(frames[i % len(frames)])

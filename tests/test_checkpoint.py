@@ -29,11 +29,16 @@ def test_save_restore_save_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_cli_train_then_eval_exits_zero(tmp_path, capsys):
+def _gen_clips(tmp_path, scenario):
     data = str(tmp_path / "clips")
-    ckpt = str(tmp_path / "model.ckpt")
-    assert main(["gen", "--scenario", "reach", "--count", "1", "--frames", "4",
+    assert main(["gen", "--scenario", scenario, "--count", "1", "--frames", "4",
                  "--raster", "16", "--pose-dim", "6", "--out", data]) == 0
+    return data
+
+
+def test_cli_train_then_eval_exits_zero(tmp_path, capsys):
+    data = _gen_clips(tmp_path, "reach")
+    ckpt = str(tmp_path / "model.ckpt")
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
     assert main(["train", "--data", data, "--out-checkpoint", ckpt,
                  "--steps", "1", "--batch", "2", *flags]) == 0
@@ -45,10 +50,8 @@ def test_cli_train_then_eval_exits_zero(tmp_path, capsys):
 
 
 def test_cli_eval_ablations_set_their_config_field(tmp_path, capsys):
-    data = str(tmp_path / "clips")
+    data = _gen_clips(tmp_path, "two_hands")
     ckpt = str(tmp_path / "model.ckpt")
-    assert main(["gen", "--scenario", "two_hands", "--count", "1", "--frames", "4",
-                 "--raster", "16", "--pose-dim", "6", "--out", data]) == 0
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
     assert main(["train", "--data", data, "--out-checkpoint", ckpt,
                  "--steps", "1", "--batch", "2", *flags]) == 0
@@ -67,6 +70,24 @@ def test_cli_eval_ablations_set_their_config_field(tmp_path, capsys):
         assert row["config"][field] == value
         untouched = {f for f, _ in expected.values()} - {field}
         assert all(row["config"][f] == Config().to_dict()[f] for f in untouched)
+
+
+def test_cli_eval_static_row_has_no_config(tmp_path):
+    data = _gen_clips(tmp_path, "reach")
+    out = tmp_path / "static.json"
+    assert main(["eval", "--data", data, "--mode", "static", "--out", str(out)]) == 0
+    row = json.loads(out.read_text())
+    assert row["mode"] == "static" and row["ablate"] == []
+    assert row["config"] is None
+
+
+def test_cli_eval_static_rejects_ablate(tmp_path, capsys):
+    data = _gen_clips(tmp_path, "reach")
+    out = tmp_path / "static.json"
+    assert main(["eval", "--data", data, "--mode", "static", "--ablate", "text",
+                 "--out", str(out)]) == 1
+    assert "--ablate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _saved(tmp_path):

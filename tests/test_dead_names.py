@@ -6,7 +6,8 @@ when no code in ``src/`` or ``perfbench/`` names it, apart from its own
 definition. A name counts when it appears as a variable, an attribute, a
 keyword argument, or a string that is a dotted identifier (``perfbench``
 addresses the functions it traces as strings such as ``"Tape.reset"``).
-Imports and docstrings do not count.
+Imports and docstrings do not count. A second scan fails on a name that a
+module imports and never uses.
 """
 
 import ast
@@ -23,6 +24,7 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 ALLOWED = {
     "gradcheck.grad_check": "the finite-difference oracle of the gradient tests",
     "data.clips_equal": "the bitwise clip comparison of the file round-trip tests",
+    "hand.rect_giou": "the float GIoU oracle that the loss tests compare against",
 }
 
 
@@ -103,3 +105,19 @@ def test_allowlist_entries_exist_and_are_unused():
     for qualified in ALLOWED:
         assert qualified in defined, qualified
         assert uses[defined[qualified]] == 0, qualified
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.name
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {imported[name]}" for name in imported if name not in used]
+    assert not unused, f"imported but never used: {sorted(unused)}"

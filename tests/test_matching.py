@@ -129,9 +129,32 @@ class TestMatchCost:
         boxes = np.tile(gt.bbox.as_array(), (3, 1))
         pose = np.zeros((3, 8))
         traj = np.tile(gt.traj.as_array(), (3, 1))
-        cost = match_cost(make_decoded(tape, logits, boxes, pose, traj), [gt], cfg)
-        assert cost[0, 0] == pytest.approx(0.0, abs=1e-9)
+        cost, _ = match_cost(make_decoded(tape, logits, boxes, pose, traj), [gt], cfg)
+        # the cost uses the loss's GIoU, whose 1e-9 division guard leaves
+        # 1 - 0.04 / (0.04 + 1e-9) = 2.5e-8 on this 0.2 x 0.2 box
+        want = cfg.lambda_box * (1 - 0.04 / (0.04 + 1e-9))
+        assert cost[0, 0] == pytest.approx(want, abs=1e-12)
         assert np.all(cost >= 0)
+
+    def test_costs_tied_at_tape_precision_go_to_the_lowest_query(self):
+        # query 0's pose error exceeds query 1's by 2**-24 / 8: a float64
+        # tape sees it, a float32 tape rounds 1 + 2**-24 to 1 and ties them
+        cfg = small_cfg()
+        gt = gt_state(HandType.LEFT)
+        logits = np.zeros((2, 3))
+        boxes = np.tile(gt.bbox.as_array(), (2, 1))
+        pose = np.zeros((2, 8))
+        pose[:, 0] = 1.0
+        pose[0, 1] = 2.0**-24
+        traj = np.tile(gt.traj.as_array(), (2, 1))
+        costs = {}
+        for dtype in ("float32", "float64"):
+            decoded = make_decoded(T.Tape(dtype), logits, boxes, pose, traj)
+            costs[dtype], _ = match_cost(decoded, [gt], cfg)
+        assert costs["float64"][1, 0] < costs["float64"][0, 0]
+        assert hungarian(costs["float64"]).pairs == ((1, 0),)
+        assert costs["float32"][0, 0] == costs["float32"][1, 0]
+        assert hungarian(costs["float32"]).pairs == ((0, 0),)
 
     def test_hand_computed_single_entry(self):
         cfg = small_cfg()
@@ -141,7 +164,7 @@ class TestMatchCost:
         boxes = np.array([[0.6, 0.5, 0.2, 0.2]])
         pose = np.full((1, 8), 0.25)
         traj = np.array([[0.0, 0.0, 0.0]])
-        cost = match_cost(
+        cost, _ = match_cost(
             make_decoded(tape, logits.repeat(1, 0), boxes, pose, traj), [gt], cfg
         )
         p = np.exp(logits[0]) / np.exp(logits[0]).sum()
@@ -167,7 +190,8 @@ class TestMatchCost:
                 rng.uniform(-80, 80, (3, 3)),
             )
             gts = [gt_state(HandType.LEFT), gt_state(HandType.RIGHT, cx=0.3)]
-            assert np.all(match_cost(decoded, gts, cfg) >= 0)
+            cost, _ = match_cost(decoded, gts, cfg)
+            assert np.all(cost >= 0)
 
 
 class TestGiouPairs:

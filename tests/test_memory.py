@@ -5,17 +5,10 @@ import numpy.testing as npt
 import pytest
 
 from sfhand import tensor as T
-from sfhand.config import Config
+from sfhand.config import KEY_BROADCAST, OFF, QUERY_BROADCAST_LITERAL, Config
 from sfhand.errors import DimensionError, UsageError
 from sfhand.hand import BBox, HandPose, HandState, HandType, Trajectory3D
-from sfhand.memory import (
-    KEY_BROADCAST,
-    OFF,
-    QUERY_BROADCAST_LITERAL,
-    MemoryLayer,
-    MemoryQueue,
-    roi_mask,
-)
+from sfhand.memory import MemoryLayer, MemoryQueue, roi_mask
 
 
 def cfg_8x8(**kw):

@@ -31,6 +31,13 @@ def test_zero_steps_returns_nothing():
     assert calls == []
 
 
+def test_training_reduces_the_loss():
+    records = train(ForecastModel(Config(**TINY)), CLIPS, steps=40)
+    first = np.mean([r.total for r in records[:5]])
+    last = np.mean([r.total for r in records[-5:]])
+    assert last < 0.8 * first, (first, last)
+
+
 def test_no_trainable_frame_is_a_usage_error():
     model = ForecastModel(Config(**TINY))
     with pytest.raises(UsageError):
