@@ -52,39 +52,16 @@ def init_block(tape: Tape, rng: np.random.Generator, name: str, d: int, mlp_rati
 
 
 def linear(x: Tensor, p) -> Tensor:
-    return T.add(T.matmul(x, p["w"]), p["b"])
+    return T.affine(x, p["w"], p["b"])
 
 
 def layer_norm(x: Tensor, p) -> Tensor:
     return T.layer_norm(x, p["g"], p["b"])
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, heads: int, bias=None) -> Tensor:
-    """Multi-head scaled dot-product attention, all heads in one product.
-
-    ``q`` is (n, d) and ``k``, ``v`` are (m, d). Each is viewed as a
-    (heads, rows, d / heads) stack of column blocks; the scores are one
-    batched matmul, scaled by 1/sqrt(d / heads). ``bias`` (an array or a
-    tensor) is added to the (heads, n, m) scores under broadcasting, so
-    shape (m,) biases keys and (n, 1) biases query rows. Returns the
-    (n, d) merge of the head outputs, heads in column order.
-    """
-    n, d = q.value.shape
-    m = k.value.shape[0]
-    dh = d // heads
-    qh = T.transpose(T.reshape(q, (n, heads, dh)), (1, 0, 2))
-    kt = T.transpose(T.reshape(k, (m, heads, dh)), (1, 2, 0))
-    vh = T.transpose(T.reshape(v, (m, heads, dh)), (1, 0, 2))
-    scores = T.mul(T.matmul(qh, kt), 1.0 / np.sqrt(dh))
-    if bias is not None:
-        scores = T.add(scores, bias)
-    out = T.matmul(T.softmax_rows(scores), vh)
-    return T.reshape(T.transpose(out, (1, 0, 2)), (n, d))
-
-
 def attention(q_in: Tensor, kv_in: Tensor, p, heads: int, key_mask=None,
               key_pos: Tensor | None = None) -> Tensor:
-    """Multi-head attention with q/k/v/o projections around ``attend``.
+    """Multi-head attention with q/k/v/o projections around ``T.attend``.
 
     ``key_mask`` is a binary vector over keys (0 = excluded); ``key_pos``
     is an optional positional tensor added to keys only.
@@ -96,7 +73,7 @@ def attention(q_in: Tensor, kv_in: Tensor, p, heads: int, key_mask=None,
     bias = None
     if key_mask is not None:
         bias = (1.0 - np.asarray(key_mask, dtype=q_in.tape.dtype)) * MASK_BIAS
-    return linear(attend(q, k, v, heads, bias), p["o"])
+    return linear(T.attend(q, k, v, heads, bias), p["o"])
 
 
 def mlp(x: Tensor, p) -> Tensor:

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .blocks import attend
 from .config import KEY_BROADCAST, QUERY_BROADCAST_LITERAL, Config
 from .errors import DimensionError, UsageError
 from .tensor import Tape, Tensor
@@ -148,4 +147,4 @@ class MemoryLayer:
             if self.cfg.use_hand:
                 q_mask[n - 2 :] = 0.0
             bias = T.mul(self.alpha, tape.constant(q_mask[:, None]))
-        return T.add(e_t, attend(e_t, kv, kv, self.cfg.memory_heads, bias))
+        return T.add(e_t, T.attend(e_t, kv, kv, self.cfg.memory_heads, bias))

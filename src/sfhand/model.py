@@ -17,7 +17,7 @@ import numpy as np
 from . import blocks, tensor as T
 from .config import Config
 from .encoders import HandEncoder, TextEncoder, VisualEncoder, tokenize_text
-from .errors import DimensionError, UsageError
+from .errors import DimensionError, NumericalError, UsageError
 from .hand import CM_PER_M, BBox, HandPose, HandState, HandType, Trajectory3D
 from .memory import MemoryLayer, MemoryQueue, roi_mask
 from .tensor import Tape, Tensor
@@ -92,7 +92,8 @@ class ForecastModel:
     def encode_instruction(self, instruction: str) -> np.ndarray:
         """Detached text token values for caching across a streaming session."""
         ids = tokenize_text(instruction, self.cfg.text_len)
-        return self.text(ids).value.copy()
+        with self.tape.no_record():
+            return self.text(ids).value
 
     def encode_current(self, frame: Optional[np.ndarray], hands):
         """Current-step visual+hand tokens on the tape (None when both
@@ -175,11 +176,16 @@ class ForecastModel:
     def select_hands(self, decoded: DecodedStep) -> list[HandState]:
         """At most one state per hand type: the query with the highest class
         probability, emitted only when it clears ``confidence_threshold``.
-        Ties break to the lower query index."""
-        probs = _softmax_np(decoded.type_logits.value.astype(np.float64))
-        boxes = decoded.boxes.value
-        pose = decoded.pose.value
-        traj = decoded.traj.value
+        Ties break to the lower query index. A non-finite head output
+        raises ``NumericalError``: no comparison with NaN is true, so a NaN
+        class score would otherwise pass unnoticed."""
+        heads = {"type": decoded.type_logits.value, "box": decoded.boxes.value,
+                 "pose": decoded.pose.value, "trajectory": decoded.traj.value}
+        for name, values in heads.items():
+            if not np.isfinite(values).all():
+                raise NumericalError(f"non-finite {name} head output")
+        probs = _softmax_np(heads["type"].astype(np.float64))
+        boxes, pose, traj = heads["box"], heads["pose"], heads["trajectory"]
         out: list[HandState] = []
         for hand_type in (HandType.LEFT, HandType.RIGHT):
             col = probs[:, hand_type.value]

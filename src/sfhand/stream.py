@@ -67,13 +67,15 @@ class Session:
             hands_in = list(gt_hands)
         else:
             hands_in = list(self.last_states)
-        self.model.tape.reset()
-        res = self.model.forward_step(
-            frame,
-            hands_in,
-            self.queue,
-            instruction_values=self.instruction_values,
-        )
+        tape = self.model.tape
+        tape.reset()
+        with tape.no_record():
+            res = self.model.forward_step(
+                frame,
+                hands_in,
+                self.queue,
+                instruction_values=self.instruction_values,
+            )
         preds = self.model.select_hands(res.decoded)
         if self.record:
             self.trace.append(
@@ -116,22 +118,21 @@ def batch_replay_check(model: ForecastModel, clip: ClipSample, mode: str = SELF_
     _, session = rollout(model, clip, mode=mode, record=True)
     n = model.cfg.memory_size
     worst = 0.0
-    for t, rec in enumerate(session.trace):
-        fresh = model.new_queue()
-        if model.cfg.use_memory and model.cfg.memory_token_count():
-            for past in session.trace[max(0, t - n):t]:
-                model.tape.reset()
-                e_t, mask = model.encode_current(past.frame, past.hands_in)
-                fresh.enqueue(e_t.value, mask)
-        model.tape.reset()
-        res = model.forward_step(
-            rec.frame,
-            rec.hands_in,
-            fresh,
-            instruction_values=session.instruction_values,
-        )
-        diff = np.abs(res.decoded.stacked_values() - rec.outputs)
-        worst = max(worst, float(diff.max()) if diff.size else 0.0)
+    with model.tape.no_record():
+        for t, rec in enumerate(session.trace):
+            fresh = model.new_queue()
+            if model.cfg.use_memory and model.cfg.memory_token_count():
+                for past in session.trace[max(0, t - n):t]:
+                    e_t, mask = model.encode_current(past.frame, past.hands_in)
+                    fresh.enqueue(e_t.value, mask)
+            res = model.forward_step(
+                rec.frame,
+                rec.hands_in,
+                fresh,
+                instruction_values=session.instruction_values,
+            )
+            diff = np.abs(res.decoded.stacked_values() - rec.outputs)
+            worst = max(worst, float(diff.max()) if diff.size else 0.0)
     return worst
 
 
@@ -143,17 +144,18 @@ class BenchResult:
     median_latency_s: float
     max_queue_len: int
     capacity: int
-    min_tape_nodes: int
-    max_tape_nodes: int
+    # fewest and most tape ops of one timed step (Tape.ops after the step)
+    min_step_ops: int
+    max_step_ops: int
     # median latency of the last decile of steps over that of the first,
     # minus 1; reported only, since wall-clock time on a shared machine
     # drifts for reasons the stream does not control
     drift_fraction: float
 
     def constant_cost(self) -> bool:
-        """Every timed step recorded the same tape nodes and the queue
+        """Every timed step ran the same number of tape ops and the queue
         never exceeded its capacity, so per-step work cannot grow."""
-        return (self.min_tape_nodes == self.max_tape_nodes
+        return (self.min_step_ops == self.max_step_ops
                 and self.max_queue_len <= self.capacity)
 
     def to_dict(self) -> dict:
@@ -175,12 +177,12 @@ def bench(model: ForecastModel, length: int, *, seed: int = 0) -> BenchResult:
         session.step(frames[i % len(frames)])
     max_queue = len(session.queue)
     latencies = np.empty(length)
-    nodes = np.empty(length, dtype=np.int64)
+    ops = np.empty(length, dtype=np.int64)
     for i in range(length):
         t0 = time.perf_counter()
         session.step(frames[i % len(frames)])
         latencies[i] = time.perf_counter() - t0
-        nodes[i] = len(model.tape.nodes)
+        ops[i] = model.tape.ops
         max_queue = max(max_queue, len(session.queue))
     decile = max(1, length // 10)
     first = float(np.median(latencies[:decile]))
@@ -193,7 +195,7 @@ def bench(model: ForecastModel, length: int, *, seed: int = 0) -> BenchResult:
         median_latency_s=float(np.median(latencies)),
         max_queue_len=max_queue,
         capacity=cfg.memory_size,
-        min_tape_nodes=int(nodes.min()),
-        max_tape_nodes=int(nodes.max()),
+        min_step_ops=int(ops.min()),
+        max_step_ops=int(ops.max()),
         drift_fraction=last / first - 1.0 if first > 0 else 0.0,
     )

@@ -7,6 +7,17 @@ function of immutable values that appends one record to the owning tape;
 order is topological by construction) and returns gradients for every
 named parameter.
 
+The transformer's two hot spots are one record each, with hand-written
+analytic backward rules: ``affine`` is ``x @ w + b``, and ``attend`` is a
+whole multi-head scaled dot-product attention (scores, bias, softmax,
+values and the head merge).
+
+Inside ``Tape.no_record()`` ops return plain value tensors: no backward
+rule is kept and no record is appended, so inference pays only for its
+arithmetic. ``Tape.backward`` rejects a tensor made there. ``Tape.ops``
+counts the ops since the last ``Tape.reset``, recorded or not, so the work
+per step stays visible either way.
+
 A tape is single-owner and single-threaded. ``Tape.reset`` drops the op
 records of the last step but keeps registered parameters alive, so one
 tape serves a whole training run.
@@ -14,6 +25,7 @@ tape serves a whole training run.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,6 +67,8 @@ class Tape:
             raise UsageError(f"unsupported dtype {dtype!r}; use float32 or float64")
         self.params: dict[str, Tensor] = {}
         self.nodes: list[Tensor] = []
+        self.recording = True
+        self.ops = 0  # ops since the last reset, recorded or not
 
     def parameter(self, name: str, value) -> Tensor:
         if name in self.params:
@@ -66,15 +80,24 @@ class Tape:
         return t
 
     def constant(self, value) -> Tensor:
-        t = Tensor(self, np.asarray(value, dtype=self.dtype))
-        self.nodes.append(t)
-        return t
+        return _record(self, np.asarray(value, dtype=self.dtype), None)
 
     def reset(self) -> None:
         """Drop op records, keep parameters registered and their values."""
         self.nodes = list(self.params.values())
+        self.ops = 0
         for p in self.nodes:
             p.grad = None
+
+    @contextmanager
+    def no_record(self):
+        """Run ops for their values only; the previous mode is restored on exit."""
+        previous = self.recording
+        self.recording = False
+        try:
+            yield
+        finally:
+            self.recording = previous
 
     def set_param(self, name: str, value: np.ndarray) -> None:
         """Replace a parameter's value (optimizer step / checkpoint load)."""
@@ -95,6 +118,8 @@ class Tape:
             raise UsageError("loss tensor belongs to another tape")
         if loss.value.shape != ():
             raise UsageError(f"loss must be scalar, got shape {loss.value.shape}")
+        if not any(n is loss for n in reversed(self.nodes)):
+            raise UsageError("loss was not recorded on this tape since its last reset")
         for n in self.nodes:
             n.grad = None
         loss.grad = np.ones((), dtype=self.dtype)
@@ -108,6 +133,9 @@ class Tape:
 
 
 def _record(tape: Tape, value: np.ndarray, bwd) -> Tensor:
+    tape.ops += 1
+    if not tape.recording:
+        return Tensor(tape, value)
     t = Tensor(tape, value, bwd)
     tape.nodes.append(t)
     return t
@@ -227,40 +255,83 @@ def minimum(a, b) -> Tensor:
 # linear algebra and shape plumbing
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with ``np.matmul`` semantics.
-
-    Operands are matrices or stacks of them (ndim >= 2): the last two axes
-    multiply and leading axes broadcast, so (heads, n, dh) @ (heads, dh, m)
-    is one product per head. The backward sums over broadcast axes.
-    """
-    tape = a.tape
-    b = _lift(tape, b)
-    if a.value.ndim < 2 or b.value.ndim < 2:
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one record: x is (n, k), w is (k, m) and b is (m,)."""
+    tape = x.tape
+    w, b = _lift(tape, w), _lift(tape, b)
+    xs, ws = x.value.shape, w.value.shape
+    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or b.value.shape != ws[1:]:
         raise DimensionError(
-            f"matmul expects operands with ndim >= 2, got {a.value.shape} and {b.value.shape}"
+            f"affine expects (n, k) @ (k, m) + (m,), got {xs} @ {ws} + {b.value.shape}"
         )
-    if a.value.shape[-1] != b.value.shape[-2]:
-        raise DimensionError(
-            f"matmul inner dimensions disagree: {a.value.shape} x {b.value.shape}"
-        )
-    val = a.value @ b.value
 
     def bwd(g):
-        _acc(a, _unbroadcast(g @ np.swapaxes(b.value, -1, -2), a.value.shape))
-        _acc(b, _unbroadcast(np.swapaxes(a.value, -1, -2) @ g, b.value.shape))
+        # read the values here: a closure holding w.value would keep a
+        # parameter's old array alive after the optimizer replaces it
+        _acc(x, g @ w.value.T)
+        _acc(w, x.value.T @ g)
+        _acc(b, g.sum(axis=0))
+
+    return _record(tape, x.value @ w.value + b.value, bwd)
+
+
+def attend(q: Tensor, k: Tensor, v: Tensor, heads: int, bias=None) -> Tensor:
+    """Multi-head scaled dot-product attention as one record.
+
+    ``q`` is (n, d) and ``k``, ``v`` are (m, d). Each is viewed as a
+    (heads, rows, d / heads) stack of column blocks; the scores are one
+    batched product, scaled by 1/sqrt(d / heads). ``bias`` (an array or a
+    tensor) is added to the (heads, n, m) scores under broadcasting, so
+    shape (m,) biases keys and (n, 1) biases query rows. Each score row
+    goes through a max-shifted softmax, so a row of equal scores attends
+    uniformly. Returns the (n, d) merge of the head outputs, heads in
+    column order.
+
+    The backward is the analytic softmax-attention gradient; the
+    gradient of a tensor bias is summed over the axes it broadcast along.
+    """
+    tape = q.tape
+    k, v = _lift(tape, k), _lift(tape, v)
+    if q.value.ndim != 2:
+        raise DimensionError(f"attend expects (n, d) queries, got {q.value.shape}")
+    n, d = q.value.shape
+    m = k.value.shape[0]
+    if k.value.shape != (m, d) or v.value.shape != (m, d) or d % heads:
+        raise DimensionError(
+            f"attend expects (m, {d}) keys and values and heads dividing {d}, got "
+            f"{k.value.shape}, {v.value.shape} and {heads} heads"
+        )
+    dh = d // heads
+    qh = q.value.reshape(n, heads, dh).transpose(1, 0, 2)
+    kt = k.value.reshape(m, heads, dh).transpose(1, 2, 0)
+    vh = v.value.reshape(m, heads, dh).transpose(1, 0, 2)
+    scale = np.asarray(1.0 / np.sqrt(dh), dtype=tape.dtype)
+    scores = (qh @ kt) * scale
+    if isinstance(bias, Tensor):
+        if bias.tape is not tape:
+            raise UsageError("operands live on different tapes")
+        scores = scores + bias.value
+    elif bias is not None:  # an array bias is a constant, not a record
+        scores = scores + np.asarray(bias, dtype=tape.dtype)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    val = (s @ vh).transpose(1, 0, 2).reshape(n, d)
+
+    def bwd(g):
+        go = g.reshape(n, heads, dh).transpose(1, 0, 2)
+        gs = go @ np.swapaxes(vh, -1, -2)
+        gvh = np.swapaxes(s, -1, -2) @ go
+        gscores = s * (gs - (gs * s).sum(axis=-1, keepdims=True))
+        if isinstance(bias, Tensor):
+            _acc(bias, _unbroadcast(gscores, bias.value.shape))
+        graw = gscores * scale
+        gqh = graw @ np.swapaxes(kt, -1, -2)
+        gkt = np.swapaxes(qh, -1, -2) @ graw
+        _acc(v, gvh.transpose(1, 0, 2).reshape(m, d))
+        _acc(k, gkt.transpose(2, 0, 1).reshape(m, d))
+        _acc(q, gqh.transpose(1, 0, 2).reshape(n, d))
 
     return _record(tape, val, bwd)
-
-
-def transpose(a: Tensor, axes=None) -> Tensor:
-    """Permute axes as ``np.transpose`` does; reverses them by default."""
-    inverse = None if axes is None else np.argsort(axes)
-
-    def bwd(g):
-        _acc(a, np.transpose(g, inverse))
-
-    return _record(a.tape, np.transpose(a.value, axes), bwd)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -370,20 +441,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return _record(a.tape, s, bwd)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-stable softmax over the last axis; degenerate rows go uniform."""
-    x = a.value
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        _acc(a, s * (g - dot))
-
-    return _record(a.tape, s, bwd)
-
-
 def log_softmax_rows(a: Tensor) -> Tensor:
     x = a.value
     shifted = x - x.max(axis=-1, keepdims=True)
@@ -400,18 +457,21 @@ def log_softmax_rows(a: Tensor) -> Tensor:
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift."""
     x = a.value
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    # np.add.reduce / n is what x.mean and x.var compute, without their
+    # per-call dispatch; the values are bitwise equal
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    xhat = xc * inv
     val = xhat * gain.value + bias.value
 
     def bwd(g):
         _acc(gain, _unbroadcast(g * xhat, gain.value.shape))
         _acc(bias, _unbroadcast(g, bias.value.shape))
         dxhat = g * gain.value
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+        m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / n
         _acc(a, inv * (dxhat - m1 - xhat * m2))
 
     return _record(a.tape, val, bwd)

@@ -137,3 +137,14 @@ def test_cli_exit_codes_for_usage_data_and_numerical_failures(tmp_path):
         assert main(["train", "--data", data, "--out-checkpoint",
                      str(tmp_path / "m.ckpt"), "--steps", "2", "--batch", "2",
                      "--learning-rate", "1e30", *flags]) == 3
+
+
+def test_cli_stream_exits_3_on_non_finite_head(tmp_path):
+    data = _gen_clips(tmp_path, "reach")
+    cfg = Config(**TINY)
+    params = ForecastModel(cfg, seed=0).tape.param_values()
+    params["decoder.head_type.b"] = np.full(3, np.nan, np.float32)
+    ckpt = save_checkpoint(tmp_path / "nan.ckpt", cfg, params, step=1)
+    with np.errstate(invalid="ignore"):
+        assert main(["stream", "--checkpoint", str(ckpt), "--clip", data]) == 3
+

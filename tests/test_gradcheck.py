@@ -44,10 +44,18 @@ def test_quadratic_bowl_near_exact():
 
 
 def test_matmul_chain():
+    # two affine layers around a nonlinearity: every operand gets a gradient
     rng = np.random.default_rng(1)
+
+    def build(tape, h):
+        y = T.affine(T.gelu(T.affine(h["x"], h["w1"], h["b1"])), h["w2"], h["b2"])
+        return T.sum_(T.mul(y, y))
+
     run(
-        lambda tape, h: T.sum_(T.matmul(h["a"], h["b"])),
-        {"a": rng.standard_normal((3, 4)), "b": rng.standard_normal((4, 2))},
+        build,
+        {"x": rng.standard_normal((3, 4)), "w1": rng.standard_normal((4, 5)),
+         "b1": rng.standard_normal(5), "w2": rng.standard_normal((5, 2)),
+         "b2": rng.standard_normal(2)},
     )
 
 
@@ -56,12 +64,13 @@ def test_softmax_cross_entropy_composite():
     targets = np.array([2, 0, 1])
 
     def build(tape, h):
-        logits = T.matmul(h["x"], h["w"])
+        logits = T.affine(h["x"], h["w"], h["b"])
         return T.cross_entropy(logits, targets)
 
     report = run(
         build,
-        {"x": rng.standard_normal((3, 5)), "w": rng.standard_normal((5, 4))},
+        {"x": rng.standard_normal((3, 5)), "w": rng.standard_normal((5, 4)),
+         "b": rng.standard_normal(4)},
         tol=1e-6,
     )
     assert report.max_rel_err <= 1e-6
@@ -110,29 +119,41 @@ def test_layer_norm_and_embedding():
 
 
 def test_softmax_rows_through_matmul():
+    # One tensor as queries, keys and values: the softmax and both
+    # products inside T.attend send three gradients into it.
     rng = np.random.default_rng(6)
 
-    def attend(q, k, v):
-        out = T.matmul(T.softmax_rows(T.matmul(q, k)), v)
+    def build(tape, h):
+        out = T.attend(h["x"], h["x"], h["x"], 2)
         return T.sum_(T.mul(out, out))
 
-    def build(tape, h):
-        flat = attend(h["q"], T.transpose(h["k"]), h["v"])
-        # (heads, n, dh) stacks; keys arrive as (m, heads, dh) and the
-        # values as one matrix shared by both heads
-        stacked = attend(h["q3"], T.transpose(h["k3"], (1, 2, 0)), h["v"])
-        return T.add(flat, stacked)
+    run(build, {"x": rng.standard_normal((5, 4))})
 
-    run(
-        build,
-        {
-            "q": rng.standard_normal((3, 4)),
-            "k": rng.standard_normal((5, 4)),
-            "v": rng.standard_normal((5, 4)),
-            "q3": rng.standard_normal((2, 3, 4)),
-            "k3": rng.standard_normal((5, 2, 4)),
-        },
-    )
+
+@pytest.mark.parametrize("heads", (1, 4))
+@pytest.mark.parametrize("bias", ("none", "key_vector", "query_column", "tensor"))
+def test_attend_heads_and_bias(heads, bias):
+    # m != n, so a transposed score matrix cannot pass; the tensor bias is
+    # alpha times a key mask, as in the memory layer
+    rng = np.random.default_rng(10)
+    n, m, d = 3, 5, 8
+    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    arrays = {"none": None, "key_vector": rng.standard_normal(m),
+              "query_column": rng.standard_normal((n, 1))}
+
+    def build(tape, h):
+        b = T.mul(h["alpha"], mask) if bias == "tensor" else arrays[bias]
+        out = T.attend(h["q"], h["k"], h["v"], heads, b)
+        return T.sum_(T.mul(out, out))
+
+    params = {"q": rng.standard_normal((n, d)), "k": rng.standard_normal((m, d)),
+              "v": rng.standard_normal((m, d))}
+    if bias == "tensor":
+        params["alpha"] = np.asarray(0.7)
+    report = run(build, params)
+    if bias == "tensor":
+        alpha = next(p for p in report.params if p.name == "alpha")
+        assert abs(alpha.tape_grad) > 1e-3, alpha
 
 
 def test_concat_slice_reshape():

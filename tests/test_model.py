@@ -6,9 +6,11 @@ import pytest
 
 from sfhand.config import Config
 from sfhand.encoders import tokenize_text
-from sfhand.errors import UsageError
+from sfhand.data import generate_synthetic
+from sfhand.errors import NumericalError, UsageError
 from sfhand.hand import BBox, HandPose, HandState, HandType, Trajectory3D
 from sfhand.model import DecodedStep, ForecastModel
+from sfhand.stream import rollout
 
 
 def tiny_cfg(**kw):
@@ -192,3 +194,15 @@ class TestSelectHands:
         decoded.traj.value[0] = [1e6, -1e6, 0.0]
         out = m.select_hands(decoded)
         assert abs(out[0].traj.x) <= 9999.0
+
+    @pytest.mark.parametrize("head", ("type", "box", "pose", "traj"))
+    def test_non_finite_head_raises_numerical_error(self, head):
+        # a NaN type head used to emit hands (no comparison with NaN is
+        # true), and NaN box, pose or trajectory heads failed as usage errors
+        m = ForecastModel(tiny_cfg(confidence_threshold=0.0), seed=0)
+        name = f"decoder.head_{head}.b"
+        m.tape.set_param(name, np.full(m.tape.params[name].value.shape, np.nan))
+        clip = generate_synthetic(1, "two_hands", 1, frames=3, raster=16, pose_dim=6)[0]
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=head):
+            rollout(m, clip)
+

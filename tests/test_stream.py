@@ -1,11 +1,12 @@
 """Streaming oracle and the constant-cost gate of the streaming bench."""
 
+import numpy as np
 import pytest
 
 from sfhand.config import MEMORY_MODES, Config
 from sfhand.data import generate_synthetic
 from sfhand.model import ForecastModel
-from sfhand.stream import ORACLE, SELF_FEED, batch_replay_check, bench
+from sfhand.stream import ORACLE, SELF_FEED, Session, batch_replay_check, bench
 from sfhand.tensor import Tape
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
@@ -29,24 +30,41 @@ def test_batch_replay_equals_stream_exactly(overrides, session_mode):
     assert batch_replay_check(model, CLIP, mode=session_mode) == 0.0
 
 
+def test_session_step_records_nothing_and_equals_a_recording_step():
+    model = ForecastModel(Config(**TINY))
+    session = Session(model, CLIP.instruction, mode=ORACLE, record=True)
+    params = list(model.tape.params.values())
+    queue = model.new_queue()
+    for i in range(CLIP.num_frames):
+        session.step(CLIP.frames[i], CLIP.gt[i])
+        assert model.tape.nodes == params
+        assert model.tape.ops > 0
+        model.tape.reset()
+        res = model.forward_step(CLIP.frames[i], CLIP.gt[i], queue,
+                                 instruction_values=session.instruction_values)
+        assert len(model.tape.nodes) == len(params) + model.tape.ops
+        np.testing.assert_array_equal(res.decoded.stacked_values(), session.trace[-1].outputs)
+
+
 def test_bench_constant_cost_holds():
     result = bench(ForecastModel(Config(**TINY)), 20)
     assert result.constant_cost()
-    assert result.min_tape_nodes == result.max_tape_nodes > 0
+    assert result.min_step_ops == result.max_step_ops > 0
     assert result.max_queue_len == result.capacity == TINY["memory_size"]
 
 
 def test_bench_constant_cost_catches_leaked_tape_records(monkeypatch):
-    # A reset that forgets to drop the last step's records grows the tape
-    # by one step's nodes per step; the latency grows too little to see.
+    # A reset that forgets to zero the op count grows it by one step's ops
+    # per step, as a reset that kept the last step's records would grow the
+    # tape; the latency grows too little to see.
     original = Tape.reset
 
     def leaky_reset(tape):
-        kept = tape.nodes
+        kept = tape.ops
         original(tape)
-        tape.nodes = kept
+        tape.ops = kept
 
     monkeypatch.setattr(Tape, "reset", leaky_reset)
     result = bench(ForecastModel(Config(**TINY)), 20)
-    assert result.max_tape_nodes > result.min_tape_nodes
+    assert result.max_step_ops > result.min_step_ops
     assert not result.constant_cost()

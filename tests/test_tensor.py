@@ -1,5 +1,7 @@
 """Tape op unit tests: frozen examples plus independent oracles."""
 
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -27,52 +29,115 @@ def triple_loop_matmul(a, b):
     return out
 
 
+def attention_weights(scores, dtype="float64"):
+    """The weights ``T.attend`` puts on each key for given (heads, n, m)
+    scores. Zero queries and keys leave the bias as the scores, and each
+    head's value block is the identity, so the output is the weights."""
+    scores = np.asarray(scores)
+    heads, n, m = scores.shape
+    tape = make_tape(dtype)
+    zeros_q = tape.constant(np.zeros((n, heads * m)))
+    zeros_k = tape.constant(np.zeros((m, heads * m)))
+    eye = tape.constant(np.tile(np.eye(m), (1, heads)))
+    out = T.attend(zeros_q, zeros_k, eye, heads, bias=scores).value
+    return out.reshape(n, heads, m).transpose(1, 0, 2)
+
+
+def per_head_attention(q, k, v, heads, bias=0.0):
+    """Reference: one head at a time, column blocks of d / heads."""
+    dh = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh) + bias
+        w = np.exp(scores - scores.max(axis=1, keepdims=True))
+        outs.append(w / w.sum(axis=1, keepdims=True) @ v[:, cols])
+    return np.concatenate(outs, axis=1)
+
+
 class TestMatmul:
+    """The matrix product of ``T.affine``."""
+
     def test_identity(self):
         tape = make_tape()
         x = tape.constant(np.arange(9.0).reshape(3, 3))
         eye = tape.constant(np.eye(3))
-        npt.assert_array_equal(T.matmul(eye, x).value, x.value)
+        npt.assert_array_equal(T.affine(eye, x, tape.constant(np.zeros(3))).value, x.value)
 
     def test_forced_by_definition(self):
         tape = make_tape()
         a = tape.constant([[1.0, 2.0], [3.0, 4.0]])
         b = tape.constant([[1.0], [1.0]])
-        npt.assert_array_equal(T.matmul(a, b).value, [[3.0], [7.0]])
+        out = T.affine(a, b, tape.constant([0.5]))
+        npt.assert_array_equal(out.value, [[3.5], [7.5]])
 
     def test_against_triple_loop_oracle(self):
         rng = np.random.default_rng(7)
         tape = make_tape("float64")
         a = rng.standard_normal((5, 4))
         b = rng.standard_normal((4, 3))
-        got = T.matmul(tape.constant(a), tape.constant(b)).value
-        npt.assert_allclose(got, triple_loop_matmul(a, b), atol=1e-12)
+        bias = rng.standard_normal(3)
+        got = T.affine(tape.constant(a), tape.constant(b), tape.constant(bias)).value
+        npt.assert_allclose(got, triple_loop_matmul(a, b) + bias, atol=1e-12)
 
     def test_shape_mismatch(self):
         tape = make_tape()
+        z = lambda *shape: tape.constant(np.zeros(shape))  # noqa: E731
         with pytest.raises(DimensionError):
-            T.matmul(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))))
+            T.affine(z(2, 3), z(2, 3), z(3))
+        with pytest.raises(DimensionError):
+            T.affine(z(2, 3), z(3, 4), z(3))
+        with pytest.raises(DimensionError):
+            T.affine(z(3), z(3, 4), z(4))
+
+    def test_replaced_weight_is_not_kept_alive(self):
+        # the optimizer replaces parameter arrays while the last step's
+        # records are still on the tape; they must not pin the old arrays
+        tape = make_tape()
+        w = tape.parameter("w", np.ones((3, 2)))
+        T.affine(tape.constant(np.ones((4, 3))), w, tape.parameter("b", np.zeros(2)))
+        old = weakref.ref(w.value)
+        tape.set_param("w", np.zeros((3, 2)))
+        assert old() is None
+
+    def test_precision_follows_the_tape(self):
+        for dtype in ("float32", "float64"):
+            tape = make_tape(dtype)
+            out = T.affine(tape.constant(np.ones((2, 3))), tape.constant(np.ones((3, 2))),
+                           tape.constant(np.ones(2)))
+            assert out.value.dtype == np.dtype(dtype)
 
 
 class TestSoftmax:
+    """The softmax of ``T.attend``, read out through ``attention_weights``."""
+
     def test_uniform_on_constant_row(self):
+        npt.assert_allclose(attention_weights([[[0.0, 0.0, 0.0]]]),
+                            [[[1 / 3, 1 / 3, 1 / 3]]], atol=1e-15)
+        # zero queries score every key alike, so each output row is the
+        # mean of the values
+        rng = np.random.default_rng(4)
         tape = make_tape()
-        out = T.softmax_rows(tape.constant([[0.0, 0.0, 0.0]]))
-        npt.assert_allclose(out.value, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-15)
+        k, v = rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+        out = T.attend(tape.constant(np.zeros((2, 4))), tape.constant(k),
+                       tape.constant(v), 2).value
+        npt.assert_allclose(out, np.tile(v.mean(axis=0), (2, 1)), atol=1e-15)
 
     def test_shift_invariance(self):
+        x = np.array([[[0.3, -1.2, 4.0, 0.0]]])
+        npt.assert_allclose(attention_weights(x), attention_weights(x + 123.456), atol=1e-14)
+        # a per-query-row bias is a shift of that row's scores
+        rng = np.random.default_rng(5)
         tape = make_tape()
-        x = np.array([[0.3, -1.2, 4.0, 0.0]])
-        a = T.softmax_rows(tape.constant(x)).value
-        b = T.softmax_rows(tape.constant(x + 123.456)).value
-        npt.assert_allclose(a, b, atol=1e-14)
+        q, k, v = (tape.constant(rng.standard_normal(s)) for s in ((3, 4), (6, 4), (6, 4)))
+        plain = T.attend(q, k, v, 2).value
+        shifted = T.attend(q, k, v, 2, bias=rng.standard_normal((3, 1)) * 50).value
+        npt.assert_allclose(plain, shifted, atol=1e-13)
 
     def test_direct_formula_oracle(self):
-        tape = make_tape()
-        x = np.array([[1.0, 2.0, 3.0]])
-        out = T.softmax_rows(tape.constant(x)).value
+        x = np.array([[[1.0, 2.0, 3.0]]])
         e = np.exp(x)
-        npt.assert_allclose(out, e / e.sum(), atol=1e-12)
+        npt.assert_allclose(attention_weights(x), e / e.sum(), atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -83,14 +148,35 @@ class TestSoftmax:
         ).filter(lambda rows: len({len(r) for r in rows}) == 1)
     )
     def test_rows_sum_to_one(self, rows):
-        x = np.array(rows)
-        tape64 = make_tape("float64")
-        s64 = T.softmax_rows(tape64.constant(x)).value
+        x = np.array(rows)[None]
+        s64 = attention_weights(x, "float64")
         npt.assert_allclose(s64.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(s64 >= 0)
-        tape32 = make_tape("float32")
-        s32 = T.softmax_rows(tape32.constant(x)).value
+        s32 = attention_weights(x, "float32")
+        assert s32.dtype == np.float32
         npt.assert_allclose(s32.sum(axis=-1), 1.0, atol=1e-6)
+
+
+class TestAttend:
+    def test_stacked_heads_match_per_head_loop(self):
+        rng = np.random.default_rng(8)
+        q, k, v = rng.standard_normal((3, 8)), rng.standard_normal((7, 8)), rng.standard_normal((7, 8))
+        bias = rng.standard_normal(7)
+        tape = make_tape()
+        for heads in (1, 2, 4):
+            got = T.attend(tape.constant(q), tape.constant(k), tape.constant(v), heads,
+                           bias=bias).value
+            npt.assert_allclose(got, per_head_attention(q, k, v, heads, bias), atol=1e-12)
+
+    def test_shape_mismatch(self):
+        tape = make_tape()
+        z = lambda *shape: tape.constant(np.zeros(shape))  # noqa: E731
+        with pytest.raises(DimensionError):
+            T.attend(z(2, 4), z(3, 4), z(2, 4), 2)   # keys and values differ in rows
+        with pytest.raises(DimensionError):
+            T.attend(z(2, 4), z(3, 6), z(3, 6), 2)   # key width != query width
+        with pytest.raises(DimensionError):
+            T.attend(z(2, 6), z(3, 6), z(3, 6), 4)   # 4 heads do not divide 6
 
 
 class TestBackward:
@@ -130,6 +216,43 @@ class TestBackward:
         grads = tape.backward(T.sum_(p))
         npt.assert_array_equal(grads["q"], np.zeros(2))
 
+    def test_tensor_made_while_not_recording_rejected(self):
+        tape = make_tape()
+        p = tape.parameter("p", np.ones(3))
+        with tape.no_record():
+            loss = T.sum_(T.mul(p, p))
+        with pytest.raises(UsageError):
+            tape.backward(loss)
+
+
+class TestNoRecord:
+    def test_values_without_records_and_ops_counted(self):
+        tape = make_tape()
+        p = tape.parameter("p", np.arange(3.0))
+        recorded = T.sum_(T.mul(p, tape.constant(2.0)))
+        assert tape.ops == 3 and len(tape.nodes) == 4
+        tape.reset()
+        assert tape.ops == 0 and tape.nodes == [p]
+        with tape.no_record():
+            quiet = T.sum_(T.mul(p, tape.constant(2.0)))
+        assert tape.nodes == [p]
+        assert tape.ops == 3
+        assert quiet.bwd is None
+        npt.assert_array_equal(quiet.value, recorded.value)
+
+    def test_previous_mode_restored_on_error(self):
+        tape = make_tape()
+        with pytest.raises(DimensionError):
+            with tape.no_record():
+                T.affine(tape.constant(np.zeros((2, 3))), tape.constant(np.zeros((2, 3))),
+                         tape.constant(np.zeros(3)))
+        assert tape.recording
+        with tape.no_record():
+            with tape.no_record():
+                pass
+            assert not tape.recording
+        assert tape.recording
+
 
 class TestOpValues:
     def test_concat_and_slice_roundtrip(self):
@@ -149,6 +272,19 @@ class TestOpValues:
         # duplicate row 3 accumulates twice
         npt.assert_array_equal(grads["emb"][3], 2 * np.ones(3))
         npt.assert_array_equal(grads["emb"][1], np.zeros(3))
+
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_layer_norm_equals_np_var_formula_bitwise(self, dtype):
+        rng = np.random.default_rng(11)
+        for shape in ((64, 64), (82, 64), (6, 64), (2, 64)):
+            x = (rng.standard_normal(shape) * 3 + 1).astype(dtype)
+            g, b = rng.standard_normal(shape[-1:]), rng.standard_normal(shape[-1:])
+            tape = make_tape(dtype)
+            got = T.layer_norm(tape.constant(x), tape.constant(g), tape.constant(b)).value
+            g, b = g.astype(dtype), b.astype(dtype)
+            mu, var = x.mean(axis=-1, keepdims=True), x.var(axis=-1, keepdims=True)
+            expected = (x - mu) * (1.0 / np.sqrt(var + 1e-5)) * g + b
+            npt.assert_array_equal(got, expected)
 
     def test_layer_norm_normalizes(self):
         tape = make_tape()
