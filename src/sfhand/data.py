@@ -65,6 +65,10 @@ class ClipSample:
             raise UsageError("ground-truth frame count disagrees with frames")
         if not self.gt_joints:
             self.gt_joints = [{} for _ in self.gt]
+        elif len(self.gt_joints) != len(self.gt):
+            raise UsageError(
+                f"{len(self.gt_joints)} joint frames != {len(self.gt)} ground-truth frames"
+            )
 
     @property
     def num_frames(self) -> int:
@@ -256,11 +260,9 @@ def generate_synthetic(seed: int, scenario: str, count: int, *, frames: int = 16
     for idx in range(count):
         rng = Xorshift64Star(derive_seed(seed, idx))
         scripts = _make_scripts(rng, scenario, pose_dim)
-        background = np.empty((raster, raster, 3), dtype=np.float32)
-        for i in range(raster):
-            for j in range(raster):
-                for c in range(3):
-                    background[i, j, c] = np.float32(rng.uniform(0.0, 0.35))
+        background = np.array(
+            [rng.uniform(0.0, 0.35) for _ in range(raster * raster * 3)], dtype=np.float32
+        ).reshape(raster, raster, 3)
         frames_arr = np.empty((frames, raster, raster, 3), dtype=np.float32)
         gt, gtj = [], []
         for f in range(frames):
@@ -299,73 +301,76 @@ def generate_synthetic(seed: int, scenario: str, count: int, *, frames: int = 16
 # file format
 
 
-def _hand_record_size(pose_dim: int) -> int:
-    # type u8, visible u8, bbox 4f32, theta Pf32, traj 3f32,
-    # joints-present u8, joints 63f32
-    return 1 + 1 + 16 + 4 * pose_dim + 12 + 1 + 4 * NUM_JOINTS * 3
+def _segment_dtype(frames: int, raster, pose_dim: int) -> np.dtype:
+    """One clip's blob segment: the frames, then a left and a right hand
+    record per frame. Structured dtypes are packed, so this is the
+    FORMATS.md layout byte for byte."""
+    hand = np.dtype([
+        ("slot", "u1"),
+        ("visible", "u1"),
+        ("box", "<f4", (4,)),
+        ("pose", "<f4", (pose_dim,)),
+        ("traj", "<f4", (3,)),
+        ("joints_present", "u1"),
+        ("joints", "<f4", (NUM_JOINTS, 3)),
+    ])
+    return np.dtype([("frames", "<f4", (frames, *raster)), ("hands", hand, (frames, 2))])
 
 
-def _pack_hand(state: HandState | None, joints: JointSet | None, slot: HandType,
-               pose_dim: int) -> bytes:
-    parts = [bytes([slot.value])]
-    if state is None or not state.visible:
-        parts.append(b"\x00")
-        parts.append(b"\x00" * (16 + 4 * pose_dim + 12))
-        parts.append(b"\x00")
-        parts.append(b"\x00" * (4 * NUM_JOINTS * 3))
-        return b"".join(parts)
-    if state.pose.dim != pose_dim:
-        raise DataFormatError(f"pose dim {state.pose.dim} != manifest pose_dim {pose_dim}")
-    parts.append(b"\x01")
-    parts.append(state.bbox.as_array().astype("<f4").tobytes())
-    parts.append(state.pose.theta.astype("<f4").tobytes())
-    parts.append(state.traj.as_array().astype("<f4").tobytes())
-    if joints is not None:
-        parts.append(b"\x01")
-        parts.append(joints.joints.astype("<f4").tobytes())
-    else:
-        parts.append(b"\x00")
-        parts.append(b"\x00" * (4 * NUM_JOINTS * 3))
-    return b"".join(parts)
-
-
-def _unpack_hand(buf: bytes, off: int, pose_dim: int):
-    type_code = buf[off]
-    visible = buf[off + 1]
-    off += 2
-    bbox = np.frombuffer(buf, "<f4", 4, off).astype(np.float64)
-    off += 16
-    theta = np.frombuffer(buf, "<f4", pose_dim, off).astype(np.float64)
-    off += 4 * pose_dim
-    traj = np.frombuffer(buf, "<f4", 3, off).astype(np.float64)
-    off += 12
-    joints_present = buf[off]
-    off += 1
-    joints = np.frombuffer(buf, "<f4", NUM_JOINTS * 3, off).astype(np.float64)
-    off += 4 * NUM_JOINTS * 3
-    if type_code > 1:
-        raise DataFormatError(f"invalid hand type code {type_code}")
-    if not visible:
-        return None, None, off
-    state = HandState(
-        hand_type=HandType(type_code),
-        bbox=BBox(*bbox),
-        pose=HandPose(theta),
-        traj=Trajectory3D(*traj),
-        visible=True,
-    )
-    js = JointSet(joints.reshape(NUM_JOINTS, 3)) if joints_present else None
-    return state, js, off
-
-
-def _clip_blob(clip: ClipSample, pose_dim: int) -> bytes:
-    parts = [np.ascontiguousarray(clip.frames, dtype="<f4").tobytes()]
-    for states, joints in zip(clip.gt, clip.gt_joints):
+def _clip_segment(clip: ClipSample, pose_dim: int) -> bytes:
+    """Absent hands, and the joints of a hand without them, stay zero."""
+    seg = np.zeros((), _segment_dtype(clip.num_frames, clip.frames.shape[1:], pose_dim))
+    seg["frames"] = clip.frames
+    hands = seg["hands"]
+    hands["slot"] = [HandType.LEFT.value, HandType.RIGHT.value]
+    for f, (states, joints) in enumerate(zip(clip.gt, clip.gt_joints)):
         by_type = {s.hand_type: s for s in states}
         for slot in (HandType.LEFT, HandType.RIGHT):
             s = by_type.get(slot)
-            parts.append(_pack_hand(s, joints.get(slot) if s else None, slot, pose_dim))
-    return b"".join(parts)
+            if s is None or not s.visible:
+                continue
+            if s.pose.dim != pose_dim:
+                raise DataFormatError(f"pose dim {s.pose.dim} != manifest pose_dim {pose_dim}")
+            rec = hands[f, slot.value]  # a structured scalar is a view
+            rec["visible"] = 1
+            rec["box"] = s.bbox.as_array()
+            rec["pose"] = s.pose.theta
+            rec["traj"] = s.traj.as_array()
+            if joints.get(slot) is not None:
+                rec["joints_present"] = 1
+                rec["joints"] = joints[slot].joints
+    return seg.tobytes()
+
+
+def _parse_segment(seg: bytes, dtype: np.dtype):
+    """(frames, gt, gt_joints) of one segment; a slot byte other than its
+    record's slot is a DataFormatError, an out-of-range value a UsageError
+    from hand.py."""
+    whole = np.frombuffer(seg, dtype, count=1)[0]
+    hands = whole["hands"]
+    misplaced = hands["slot"] != [HandType.LEFT.value, HandType.RIGHT.value]
+    if misplaced.any():
+        f, i = np.argwhere(misplaced)[0]
+        raise DataFormatError(
+            f"frame {f}: slot byte {hands['slot'][f, i]} in hand record {i} (0 left, 1 right)"
+        )
+    gt, gtj = [], []
+    for frame in hands:
+        states, joints = [], {}
+        for rec in frame[frame["visible"] != 0]:
+            ht = HandType(int(rec["slot"]))
+            states.append(HandState(
+                hand_type=ht,
+                bbox=BBox(*rec["box"].astype(np.float64)),
+                pose=HandPose(rec["pose"].astype(np.float64)),
+                traj=Trajectory3D(*rec["traj"].astype(np.float64)),
+                visible=True,
+            ))
+            if rec["joints_present"]:
+                joints[ht] = JointSet(rec["joints"].astype(np.float64))
+        gt.append(states)
+        gtj.append(joints)
+    return whole["frames"].copy(), gt, gtj
 
 
 def _paths(base) -> tuple[Path, Path]:
@@ -376,13 +381,19 @@ def _paths(base) -> tuple[Path, Path]:
 
 
 def write_clipfile(clips: list[ClipSample], base) -> tuple[Path, Path]:
-    """Write manifest (<base>.json) and blob (<base>.bin)."""
+    """Write manifest (<base>.json) and blob (<base>.bin).
+
+    The manifest's pose_dim is that of the first visible hand in any
+    frame of any clip, or 48 when there is none.
+    """
     manifest_path, blob_path = _paths(base)
-    pose_dim = clips[0].gt[0][0].pose.dim if clips and clips[0].gt and clips[0].gt[0] else 48
+    pose_dim = next(
+        (s.pose.dim for c in clips for states in c.gt for s in states if s.visible), 48
+    )
     records = []
     blob = bytearray()
     for clip in clips:
-        seg = _clip_blob(clip, pose_dim)
+        seg = _clip_segment(clip, pose_dim)
         records.append(
             {
                 "id": clip.id,
@@ -412,7 +423,8 @@ def write_clipfile(clips: list[ClipSample], base) -> tuple[Path, Path]:
 
 def read_clipfile(base) -> list[ClipSample]:
     """Read and validate a clip dataset; raises distinct error kinds for
-    version, truncation, and checksum violations."""
+    version, truncation, and checksum violations, and DataFormatError for
+    anything else malformed."""
     manifest_path, blob_path = _paths(base)
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -420,12 +432,17 @@ def read_clipfile(base) -> list[ClipSample]:
         raise DataFormatError(f"cannot read manifest {manifest_path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DataFormatError(f"manifest {manifest_path} is not valid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise DataFormatError(f"manifest {manifest_path} is not a JSON object")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(
             f"unsupported clip format version {version}; this build reads {FORMAT_VERSION}"
         )
-    pose_dim = int(manifest.get("pose_dim", 48))
+    try:
+        pose_dim = int(manifest.get("pose_dim", 48))
+    except (TypeError, ValueError) as e:
+        raise DataFormatError(f"manifest {manifest_path}: bad pose_dim: {e}") from e
     try:
         blob = blob_path.read_bytes()
     except OSError as e:
@@ -433,50 +450,38 @@ def read_clipfile(base) -> list[ClipSample]:
 
     clips = []
     prev_end = 0
-    for rec in manifest.get("clips", []):
-        off, length = int(rec["blob_offset"]), int(rec["blob_length"])
+    for i, rec in enumerate(manifest.get("clips", [])):
+        name = f"clip {rec.get('id', i) if isinstance(rec, dict) else i}"
+        try:
+            off, length = int(rec["blob_offset"]), int(rec["blob_length"])
+            dtype = _segment_dtype(int(rec["frames"]), rec["raster"], pose_dim)
+            checksum, cid, instruction = rec["checksum"], rec["id"], rec["instruction"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataFormatError(f"{name}: malformed manifest record ({e!r})") from e
         if off < prev_end:
-            raise DataFormatError(f"clip {rec['id']}: overlapping blob segment")
+            raise DataFormatError(f"{name}: overlapping blob segment")
         if off + length > len(blob):
             raise TruncationError(
-                f"clip {rec['id']}: segment ends at {off + length} but blob has "
-                f"{len(blob)} bytes"
+                f"{name}: segment ends at {off + length} but blob has {len(blob)} bytes"
             )
         prev_end = off + length
         seg = blob[off : off + length]
-        if zlib.crc32(seg) != rec["checksum"]:
-            raise ChecksumError(f"clip {rec['id']}: checksum mismatch")
-        t = int(rec["frames"])
-        r1, r2, ch = rec["raster"]
-        frame_bytes = t * r1 * r2 * ch * 4
-        expect = frame_bytes + t * 2 * _hand_record_size(pose_dim)
-        if length != expect:
+        if zlib.crc32(seg) != checksum:
+            raise ChecksumError(f"{name}: checksum mismatch")
+        if length != dtype.itemsize:
             raise TruncationError(
-                f"clip {rec['id']}: segment length {length} != expected {expect}"
+                f"{name}: segment length {length} != expected {dtype.itemsize}"
             )
-        frames = (
-            np.frombuffer(seg, "<f4", t * r1 * r2 * ch).reshape(t, r1, r2, ch).copy()
-        )
-        gt, gtj = [], []
-        pos = frame_bytes
-        for _ in range(t):
-            states, joints = [], {}
-            for _slot in range(2):
-                state, js, pos = _unpack_hand(seg, pos, pose_dim)
-                if state is not None:
-                    states.append(state)
-                    if js is not None:
-                        joints[state.hand_type] = js
-            gt.append(states)
-            gtj.append(joints)
-        clips.append(
-            ClipSample(
-                id=rec["id"],
-                instruction=rec["instruction"],
+        try:
+            frames, gt, gtj = _parse_segment(seg, dtype)
+            clips.append(ClipSample(
+                id=cid,
+                instruction=instruction,
                 frames=frames,
                 gt=gt,
                 gt_joints=gtj,
                 camera_note=rec.get("camera_note", ""),
-            )
-        )
+            ))
+        except (DataFormatError, UsageError) as e:
+            raise DataFormatError(f"{name}: {e}") from e
     return clips

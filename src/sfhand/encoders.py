@@ -84,9 +84,11 @@ class TextEncoder:
         ids = np.asarray(ids)
         if ids.shape != (self.cfg.text_len,):
             raise DimensionError(f"expected {self.cfg.text_len} token ids, got {ids.shape}")
+        if ids.dtype.kind not in "iu":
+            raise UsageError("token ids must be integers")
         if pad_mask is None:
             pad_mask = (ids != PAD_ID).astype(np.float64)
-        x = T.add(T.embedding(self.embed, ids), self.pos)
+        x = T.add(self.embed[ids], self.pos)
         for p in self.blocks:
             x = blocks.encoder_block(x, p, self.cfg.heads, key_mask=pad_mask)
         return blocks.layer_norm(x, self.ln_out)

@@ -98,9 +98,6 @@ class MemoryQueue:
         if len(self.entries) > self.capacity:
             del self.entries[0]
 
-    def reset(self) -> None:
-        self.entries.clear()
-
     def flat_keys(self, dtype) -> np.ndarray:
         return np.concatenate([e.embedding for e in self.entries], axis=0).astype(
             dtype, copy=False
@@ -135,7 +132,7 @@ class MemoryLayer:
             return e_t
 
         tape = e_t.tape
-        kv = tape.constant(queue.flat_keys(tape.dtype))
+        kv = queue.flat_keys(tape.dtype)  # an array, so attend keeps it constant
         bias = None
         if self.cfg.memory_mode == KEY_BROADCAST:
             key_mask = queue.flat_masks().astype(np.float64)

@@ -275,44 +275,49 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(tape, x.value @ w.value + b.value, bwd)
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, heads: int, bias=None) -> Tensor:
+def attend(q: Tensor, k, v, heads: int, bias=None) -> Tensor:
     """Multi-head scaled dot-product attention as one record.
 
     ``q`` is (n, d) and ``k``, ``v`` are (m, d). Each is viewed as a
     (heads, rows, d / heads) stack of column blocks; the scores are one
-    batched product, scaled by 1/sqrt(d / heads). ``bias`` (an array or a
-    tensor) is added to the (heads, n, m) scores under broadcasting, so
-    shape (m,) biases keys and (n, 1) biases query rows. Each score row
-    goes through a max-shifted softmax, so a row of equal scores attends
-    uniformly. Returns the (n, d) merge of the head outputs, heads in
-    column order.
+    batched product, scaled by 1/sqrt(d / heads). ``bias`` is added to the
+    (heads, n, m) scores under broadcasting, so shape (m,) biases keys and
+    (n, 1) biases query rows. Each score row goes through a max-shifted
+    softmax, so a row of equal scores attends uniformly. Returns the
+    (n, d) merge of the head outputs, heads in column order.
 
-    The backward is the analytic softmax-attention gradient; the
-    gradient of a tensor bias is summed over the axes it broadcast along.
+    ``k``, ``v`` and ``bias`` may each be a tensor or an array; an array is
+    a constant, with no record and no gradient. The backward is the
+    analytic softmax-attention gradient; the gradient of a tensor bias is
+    summed over the axes it broadcast along.
     """
     tape = q.tape
-    k, v = _lift(tape, k), _lift(tape, v)
+
+    def value(x):
+        if isinstance(x, Tensor):
+            if x.tape is not tape:
+                raise UsageError("operands live on different tapes")
+            return x.value
+        return np.asarray(x, dtype=tape.dtype)
+
+    kval, vval = value(k), value(v)
     if q.value.ndim != 2:
         raise DimensionError(f"attend expects (n, d) queries, got {q.value.shape}")
     n, d = q.value.shape
-    m = k.value.shape[0]
-    if k.value.shape != (m, d) or v.value.shape != (m, d) or d % heads:
+    m = kval.shape[0]
+    if kval.shape != (m, d) or vval.shape != (m, d) or d % heads:
         raise DimensionError(
             f"attend expects (m, {d}) keys and values and heads dividing {d}, got "
-            f"{k.value.shape}, {v.value.shape} and {heads} heads"
+            f"{kval.shape}, {vval.shape} and {heads} heads"
         )
     dh = d // heads
     qh = q.value.reshape(n, heads, dh).transpose(1, 0, 2)
-    kt = k.value.reshape(m, heads, dh).transpose(1, 2, 0)
-    vh = v.value.reshape(m, heads, dh).transpose(1, 0, 2)
+    kt = kval.reshape(m, heads, dh).transpose(1, 2, 0)
+    vh = vval.reshape(m, heads, dh).transpose(1, 0, 2)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=tape.dtype)
     scores = (qh @ kt) * scale
-    if isinstance(bias, Tensor):
-        if bias.tape is not tape:
-            raise UsageError("operands live on different tapes")
-        scores = scores + bias.value
-    elif bias is not None:  # an array bias is a constant, not a record
-        scores = scores + np.asarray(bias, dtype=tape.dtype)
+    if bias is not None:
+        scores = scores + value(bias)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     val = (s @ vh).transpose(1, 0, 2).reshape(n, d)
@@ -320,15 +325,17 @@ def attend(q: Tensor, k: Tensor, v: Tensor, heads: int, bias=None) -> Tensor:
     def bwd(g):
         go = g.reshape(n, heads, dh).transpose(1, 0, 2)
         gs = go @ np.swapaxes(vh, -1, -2)
-        gvh = np.swapaxes(s, -1, -2) @ go
         gscores = s * (gs - (gs * s).sum(axis=-1, keepdims=True))
         if isinstance(bias, Tensor):
             _acc(bias, _unbroadcast(gscores, bias.value.shape))
         graw = gscores * scale
         gqh = graw @ np.swapaxes(kt, -1, -2)
-        gkt = np.swapaxes(qh, -1, -2) @ graw
-        _acc(v, gvh.transpose(1, 0, 2).reshape(m, d))
-        _acc(k, gkt.transpose(2, 0, 1).reshape(m, d))
+        if isinstance(v, Tensor):
+            gvh = np.swapaxes(s, -1, -2) @ go
+            _acc(v, gvh.transpose(1, 0, 2).reshape(m, d))
+        if isinstance(k, Tensor):
+            gkt = np.swapaxes(qh, -1, -2) @ graw
+            _acc(k, gkt.transpose(2, 0, 1).reshape(m, d))
         _acc(q, gqh.transpose(1, 0, 2).reshape(n, d))
 
     return _record(tape, val, bwd)
@@ -369,21 +376,6 @@ def slice_(a: Tensor, key) -> Tensor:
         _acc(a, full)
 
     return _record(a.tape, val, bwd)
-
-
-def embedding(table: Tensor, ids) -> Tensor:
-    """Row lookup into a (vocab x d) table by an integer id array."""
-    ids = np.asarray(ids)
-    if ids.dtype.kind not in "iu":
-        raise UsageError("embedding ids must be integers")
-    val = table.value[ids]
-
-    def bwd(g):
-        full = np.zeros_like(table.value)
-        np.add.at(full, ids, g)
-        _acc(table, full)
-
-    return _record(table.tape, val, bwd)
 
 
 # ---------------------------------------------------------------------------

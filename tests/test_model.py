@@ -96,10 +96,9 @@ class TestForwardStep:
         out2 = r2.decoded.stacked_values()
         assert np.abs(out1 - out2).max() > 0  # queue filled in between
 
-        # after reset, the first step reproduces bitwise
-        q.reset()
+        # on a fresh queue, the first step reproduces bitwise
         m.tape.reset()
-        r3 = run_step(m, frame=frame, hands=hands, queue=q)
+        r3 = run_step(m, frame=frame, hands=hands, queue=m.new_queue())
         npt.assert_array_equal(r3.decoded.stacked_values(), out1)
 
     def test_enqueue_happens_after_attention(self):

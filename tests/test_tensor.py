@@ -168,6 +168,26 @@ class TestAttend:
                            bias=bias).value
             npt.assert_allclose(got, per_head_attention(q, k, v, heads, bias), atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", ("float32", "float64"))
+    def test_array_keys_and_values_are_constants(self, dtype):
+        # the memory layer's call: array keys = values, a tensor alpha * mask bias
+        rng = np.random.default_rng(9)
+        q0, kv = rng.standard_normal((5, 8)), rng.standard_normal((12, 8))
+        mask, w = rng.integers(0, 2, 12).astype(float), rng.standard_normal((5, 8))
+        grads, ops = [], []
+        for keys_as_tensor in (True, False):
+            tape = make_tape(dtype)
+            q = tape.parameter("q", q0)
+            alpha = tape.parameter("memory.alpha", np.asarray(0.7))
+            keys = tape.constant(kv) if keys_as_tensor else kv.astype(dtype)
+            bias = T.mul(alpha, tape.constant(mask))
+            out = T.attend(q, keys, keys, 2, bias)
+            ops.append(tape.ops)
+            grads.append(tape.backward(T.sum_(T.mul(out, tape.constant(w)))))
+        assert ops[1] == ops[0] - 1  # no record for the array keys
+        for name in ("q", "memory.alpha"):
+            npt.assert_array_equal(grads[1][name], grads[0][name])
+
     def test_shape_mismatch(self):
         tape = make_tape()
         z = lambda *shape: tape.constant(np.zeros(shape))  # noqa: E731
@@ -266,7 +286,7 @@ class TestOpValues:
     def test_embedding_lookup(self):
         tape = make_tape()
         table = tape.parameter("emb", np.arange(12.0).reshape(4, 3))
-        out = T.embedding(table, np.array([3, 0, 3]))
+        out = table[np.array([3, 0, 3])]
         npt.assert_array_equal(out.value, table.value[[3, 0, 3]])
         grads = tape.backward(T.sum_(out))
         # duplicate row 3 accumulates twice
