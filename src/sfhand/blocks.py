@@ -63,8 +63,9 @@ def attention(q_in: Tensor, kv_in: Tensor, p, heads: int, key_mask=None,
               key_pos: Tensor | None = None) -> Tensor:
     """Multi-head attention with q/k/v/o projections around ``T.attend``.
 
-    ``key_mask`` is a binary vector over keys (0 = excluded); ``key_pos``
-    is an optional positional tensor added to keys only.
+    ``key_mask`` is a binary (m,) vector over keys, or (B, m) with one row
+    per sample (0 = excluded); ``key_pos`` is an optional positional
+    tensor added to keys only.
     """
     q = linear(q_in, p["q"])
     k_src = T.add(kv_in, key_pos) if key_pos is not None else kv_in
@@ -73,6 +74,7 @@ def attention(q_in: Tensor, kv_in: Tensor, p, heads: int, key_mask=None,
     bias = None
     if key_mask is not None:
         bias = (1.0 - np.asarray(key_mask, dtype=q_in.tape.dtype)) * MASK_BIAS
+        bias = bias[..., None, None, :]  # broadcast over heads and query rows
     return linear(T.attend(q, k, v, heads, bias), p["o"])
 
 

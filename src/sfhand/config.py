@@ -10,9 +10,8 @@ from .errors import DataFormatError, UsageError
 
 # Memory bias modes; ``sfhand.memory`` documents what each one does.
 KEY_BROADCAST = "key_broadcast"
-QUERY_BROADCAST_LITERAL = "query_broadcast_literal"
 OFF = "off"
-MEMORY_MODES = (KEY_BROADCAST, QUERY_BROADCAST_LITERAL, OFF)
+MEMORY_MODES = (KEY_BROADCAST, OFF)
 
 
 @dataclass(frozen=True)

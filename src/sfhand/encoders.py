@@ -1,10 +1,10 @@
 """Input encoders: byte-level text, patch-based visual, masked hand.
 
 Each encoder is a small pre-LN transformer that returns its tokens as one
-(n, d) tensor of the shared dimension d; visual tokens are in row-major
-patch-grid order. The text encoder masks PAD positions out of
-attention; the hand encoder masks invisible hand slots and zeroes their
-output tokens.
+(n, d) tensor of the shared dimension d, or (B, n, d) for a batch of B
+inputs; visual tokens are in row-major patch-grid order. The text encoder
+masks PAD positions out of attention; the hand encoder masks invisible
+hand slots and zeroes their output tokens.
 """
 
 from __future__ import annotations
@@ -55,6 +55,12 @@ def hand_slot_vector(state: Optional[HandState], pose_dim: int) -> np.ndarray:
     return vec
 
 
+def is_hand_batch(states) -> bool:
+    """Whether ``states`` is a list of B per-frame hand lists rather than
+    one frame's hand states."""
+    return bool(states) and not isinstance(states[0], HandState)
+
+
 def hands_to_slots(states) -> list[Optional[HandState]]:
     """Order 0..2 states into [Left, Right] slots; duplicate types are an error."""
     slots: list[Optional[HandState]] = [None, None]
@@ -81,8 +87,9 @@ class TextEncoder:
         self.ln_out = blocks.init_layernorm(tape, "text.ln_out", d)
 
     def __call__(self, ids: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
+        """(L,) token ids, or (B, L) for a batch."""
         ids = np.asarray(ids)
-        if ids.shape != (self.cfg.text_len,):
+        if ids.ndim not in (1, 2) or ids.shape[-1] != self.cfg.text_len:
             raise DimensionError(f"expected {self.cfg.text_len} token ids, got {ids.shape}")
         if ids.dtype.kind not in "iu":
             raise UsageError("token ids must be integers")
@@ -109,16 +116,18 @@ class VisualEncoder:
 
     def patches(self, frame: np.ndarray) -> np.ndarray:
         """Row-major grid of flattened patch pixels; patch (i,j) reads
-        rows [p*i, p*i+p) and columns [p*j, p*j+p)."""
+        rows [p*i, p*i+p) and columns [p*j, p*j+p). A (B, R, R, 3) batch
+        of frames gives one grid per frame."""
         r, p = self.cfg.raster, self.cfg.patch
         frame = np.asarray(frame)
-        if frame.shape != (r, r, 3):
+        if frame.ndim not in (3, 4) or frame.shape[-3:] != (r, r, 3):
             raise DimensionError(f"expected frame {r}x{r}x3, got {frame.shape}")
-        g = self.cfg.grid
-        tiled = frame.reshape(g, p, g, p, 3).transpose(0, 2, 1, 3, 4)
-        return tiled.reshape(g * g, p * p * 3)
+        g, lead = self.cfg.grid, frame.shape[:-3]
+        tiled = frame.reshape(lead + (g, p, g, p, 3)).swapaxes(-4, -3)
+        return tiled.reshape(lead + (g * g, p * p * 3))
 
     def __call__(self, frame: np.ndarray) -> Tensor:
+        """(R, R, 3) frame, or (B, R, R, 3) for a batch."""
         tape = self.pos.tape
         x = blocks.linear(tape.constant(self.patches(frame)), self.proj)
         x = T.add(x, self.pos)
@@ -139,16 +148,23 @@ class HandEncoder:
         ]
         self.ln_out = blocks.init_layernorm(tape, "hand.ln_out", d)
 
-    def __call__(self, states) -> Tensor:
+    def _slot_inputs(self, states):
         slots = hands_to_slots(states)
         vis = np.array(
             [1.0 if (s is not None and s.visible) else 0.0 for s in slots]
         )
-        raw = np.stack([hand_slot_vector(s, self.cfg.pose_dim) for s in slots])
+        return np.stack([hand_slot_vector(s, self.cfg.pose_dim) for s in slots]), vis
+
+    def __call__(self, states) -> Tensor:
+        """One frame's hand states, or a list of B such lists for a batch."""
+        if is_hand_batch(states):
+            raw, vis = (np.stack(a) for a in zip(*map(self._slot_inputs, states)))
+        else:
+            raw, vis = self._slot_inputs(states)
         tape = self.slot.tape
         x = T.add(blocks.linear(tape.constant(raw), self.proj), self.slot)
         for p in self.blocks:
             x = blocks.encoder_block(x, p, self.cfg.heads, key_mask=vis)
         x = blocks.layer_norm(x, self.ln_out)
         # invisible slots contribute nothing downstream
-        return T.mul(x, tape.constant(vis[:, None]))
+        return T.mul(x, tape.constant(vis[..., None]))

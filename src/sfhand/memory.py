@@ -7,15 +7,15 @@ into the flattened queue, with the scores optionally biased by a learnable
 scalar times a hand-region mask.
 
 The bias mode is ``Config.memory_mode``, checked when the config is
-built; three modes ship:
+built; two modes ship:
 
 * ``key_broadcast`` (default): each stored key token k gets ``alpha *
   mask_k`` added to its score column, so hand-region history attracts
   attention from every query.
-* ``query_broadcast_literal``: ``alpha * mask_q`` is added across query
-  row q. Because row-wise softmax is shift invariant this is provably a
-  no-op on the output; the mode exists so that property stays testable.
 * ``off``: no bias; alpha unused.
+
+Biasing query rows instead would change nothing: row-wise softmax is
+shift invariant, so a bias constant along each query row is a no-op.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .config import KEY_BROADCAST, QUERY_BROADCAST_LITERAL, Config
+from .config import KEY_BROADCAST, Config
 from .errors import DimensionError, UsageError
 from .tensor import Tape, Tensor
 
@@ -137,11 +137,4 @@ class MemoryLayer:
         if self.cfg.memory_mode == KEY_BROADCAST:
             key_mask = queue.flat_masks().astype(np.float64)
             bias = T.mul(self.alpha, tape.constant(key_mask))
-        elif self.cfg.memory_mode == QUERY_BROADCAST_LITERAL:
-            # The written form: mask over the current step's visual
-            # tokens only, broadcast along each query row.
-            q_mask = m_t.astype(np.float64)
-            if self.cfg.use_hand:
-                q_mask[n - 2 :] = 0.0
-            bias = T.mul(self.alpha, tape.constant(q_mask[:, None]))
         return T.add(e_t, T.attend(e_t, kv, kv, self.cfg.memory_heads, bias))

@@ -5,18 +5,23 @@ through the FIFO memory, concatenates the text tokens in front, and
 decodes a fixed set of query predictions (type logits, box, pose,
 trajectory). The box head is sigmoid-bounded; pose and trajectory heads
 are linear in natural units (radians, centimeters).
+
+The same step runs a batch of B frames: every tensor gains a leading B
+axis, and the decoder's queries broadcast against the (B, n, d) tokens.
+The memory layer is the one per-frame loop, since each frame attends to
+the entries the frames before it enqueued.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import blocks, tensor as T
 from .config import Config
-from .encoders import HandEncoder, TextEncoder, VisualEncoder, tokenize_text
+from .encoders import HandEncoder, TextEncoder, VisualEncoder, is_hand_batch, tokenize_text
 from .errors import DimensionError, NumericalError, UsageError
 from .hand import CM_PER_M, BBox, HandPose, HandState, HandType, Trajectory3D
 from .memory import MemoryLayer, MemoryQueue, roi_mask
@@ -29,6 +34,7 @@ TRAJ_BOUND = 9999.0  # clamp head output inside the Trajectory3D sanity range
 class DecodedStep:
     """Per-query prediction heads, still attached to the tape."""
 
+    # each (Q, k), or (B, Q, k) for a batch of B frames
     type_logits: Tensor  # (Q, 3) left/right/background
     boxes: Tensor        # (Q, 4) sigmoid cx cy w h
     pose: Tensor         # (Q, P)
@@ -38,14 +44,18 @@ class DecodedStep:
         """All head outputs as one (Q, 3+4+P+3) array, detached."""
         return np.concatenate(
             [self.type_logits.value, self.boxes.value, self.pose.value, self.traj.value],
-            axis=1,
+            axis=-1,
         )
+
+    def frame(self, j: int) -> "DecodedStep":
+        """Frame j's heads of a batch, on the tape."""
+        return DecodedStep(self.type_logits[j], self.boxes[j], self.pose[j], self.traj[j])
 
 
 @dataclass
 class StepResult:
     decoded: DecodedStep
-    f_me: Tensor  # (n, d) tokens the decoder attends to
+    f_me: Tensor  # (n, d) or (B, n, d) tokens the decoder attends to
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
@@ -97,7 +107,9 @@ class ForecastModel:
 
     def encode_current(self, frame: Optional[np.ndarray], hands):
         """Current-step visual+hand tokens on the tape (None when both
-        modalities are off) and their ROI mask; the queue stores these."""
+        modalities are off) and their ROI mask; the queue stores these.
+        A batch of frames and hand lists gives (B, n, d) tokens and a
+        (B, n) mask."""
         parts: list[Tensor] = []
         if self.cfg.use_video:
             if frame is None:
@@ -105,13 +117,15 @@ class ForecastModel:
             parts.append(self.visual(frame))
         if self.cfg.use_hand:
             parts.append(self.hand(hands))
-        e_t = T.concat(parts, axis=0) if parts else None
+        e_t = T.concat(parts, axis=-2) if parts else None
+        if is_hand_batch(hands):
+            return e_t, np.stack([roi_mask(h, self.cfg) for h in hands])
         return e_t, roi_mask(hands, self.cfg)
 
     # -- decoding --------------------------------------------------------------
 
     def decode(self, f_me: Tensor) -> DecodedStep:
-        n, d = f_me.value.shape
+        n, d = f_me.value.shape[-2:]
         if d != self.cfg.d:
             raise DimensionError(f"memory-augmented tokens have dim {d}, expected {self.cfg.d}")
         if n > self.mem_pos.value.shape[0]:
@@ -136,21 +150,30 @@ class ForecastModel:
         self,
         frame: Optional[np.ndarray],
         hands,
-        queue: MemoryQueue,
+        queue: MemoryQueue | Sequence[MemoryQueue],
         *,
         instruction_ids: Optional[np.ndarray] = None,
         instruction_values: Optional[np.ndarray] = None,
     ) -> StepResult:
-        """Encode inputs, run the memory layer, decode, enqueue.
+        """Encode inputs, run the memory layer and enqueue, decode.
 
         Text enters either as ids (re-encoded on the tape; needed when
         training) or as cached detached values (streaming inference).
+
+        A batch is a (B, R, R, 3) frame array, B hand lists, (B, L) ids
+        and one queue per frame. Frames run through the memory layer in
+        batch order, each enqueueing before the next attends, so frames
+        that share a queue see each other as consecutive steps would.
         """
         cfg = self.cfg
         e_t, mask = self.encode_current(frame, hands)
         aug = e_t
         if cfg.use_memory and e_t is not None:
-            aug = self.memory.forward(queue, e_t, mask)
+            if isinstance(queue, MemoryQueue):
+                aug = self._remember(queue, e_t, mask)
+            else:
+                aug = T.stack([self._remember(q, e_t[j], mask[j])
+                               for j, q in enumerate(queue)])
 
         f_parts: list[Tensor] = []
         if cfg.use_text:
@@ -164,12 +187,14 @@ class ForecastModel:
             f_parts.append(aug)
         if not f_parts:
             raise UsageError("all modalities disabled; nothing to decode from")
-        f_me = f_parts[0] if len(f_parts) == 1 else T.concat(f_parts, axis=0)
+        f_me = f_parts[0] if len(f_parts) == 1 else T.concat(f_parts, axis=-2)
+        return StepResult(decoded=self.decode(f_me), f_me=f_me)
 
-        decoded = self.decode(f_me)
-        if cfg.use_memory and e_t is not None:
-            queue.enqueue(e_t.value, mask)
-        return StepResult(decoded=decoded, f_me=f_me)
+    def _remember(self, queue: MemoryQueue, e_t: Tensor, mask: np.ndarray) -> Tensor:
+        """One frame's memory layer, then its tokens join the queue."""
+        aug = self.memory.forward(queue, e_t, mask)
+        queue.enqueue(e_t.value, mask)
+        return aug
 
     # -- prediction -> hand states ---------------------------------------------
 

@@ -5,12 +5,17 @@ and streaming, float64 for gradient checks. Every operation is a pure
 function of immutable values that appends one record to the owning tape;
 ``Tape.backward`` runs a single reversed sweep over the records (creation
 order is topological by construction) and returns gradients for every
-named parameter.
+named parameter. The sweep frees each record as it passes it, so a
+training update holds its activations only until their gradients are
+taken, and a loss can be differentiated once.
 
 The transformer's two hot spots are one record each, with hand-written
 analytic backward rules: ``affine`` is ``x @ w + b``, and ``attend`` is a
 whole multi-head scaled dot-product attention (scores, bias, softmax,
-values and the head merge).
+values and the head merge). Both take an optional leading batch axis:
+rows are (n, d) for one frame or (B, n, d) for B frames, and an unbatched
+operand broadcasts against a batched one, its gradient summed back over
+the batch.
 
 Inside ``Tape.no_record()`` ops return plain value tensors: no backward
 rule is kept and no record is appended, so inference pays only for its
@@ -113,19 +118,27 @@ class Tape:
         return {name: p.value for name, p in self.params.items()}
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
-        """Gradient of a scalar loss w.r.t. every named parameter."""
+        """Gradient of a scalar loss w.r.t. every named parameter.
+
+        Each op record drops its gradient and backward rule once its rule
+        has run, and the tape keeps only the parameters, so the same loss
+        cannot be differentiated twice."""
         if loss.tape is not self:
             raise UsageError("loss tensor belongs to another tape")
         if loss.value.shape != ():
             raise UsageError(f"loss must be scalar, got shape {loss.value.shape}")
         if not any(n is loss for n in reversed(self.nodes)):
             raise UsageError("loss was not recorded on this tape since its last reset")
-        for n in self.nodes:
+        nodes, self.nodes = self.nodes, list(self.params.values())
+        for n in nodes:
             n.grad = None
         loss.grad = np.ones((), dtype=self.dtype)
-        for n in reversed(self.nodes):
-            if n.grad is not None and n.bwd is not None:
-                n.bwd(n.grad)
+        while nodes:
+            n = nodes.pop()
+            if n.name is None:  # an op record; parameters keep their gradients
+                if n.grad is not None and n.bwd is not None:
+                    n.bwd(n.grad)
+                n.bwd = n.grad = None
         return {
             name: (p.grad if p.grad is not None else np.zeros_like(p.value))
             for name, p in self.params.items()
@@ -256,39 +269,49 @@ def minimum(a, b) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one record: x is (n, k), w is (k, m) and b is (m,)."""
+    """``x @ w + b`` as one record: x is (..., n, k), w is (k, m) and b is (m,)."""
     tape = x.tape
     w, b = _lift(tape, w), _lift(tape, b)
     xs, ws = x.value.shape, w.value.shape
-    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or b.value.shape != ws[1:]:
+    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or b.value.shape != ws[1:]:
         raise DimensionError(
-            f"affine expects (n, k) @ (k, m) + (m,), got {xs} @ {ws} + {b.value.shape}"
+            f"affine expects (..., n, k) @ (k, m) + (m,), got {xs} @ {ws} + {b.value.shape}"
         )
 
     def bwd(g):
         # read the values here: a closure holding w.value would keep a
         # parameter's old array alive after the optimizer replaces it
         _acc(x, g @ w.value.T)
-        _acc(w, x.value.T @ g)
+        rows = x.value.reshape(-1, ws[0])  # a batch stacks its rows
+        g = g.reshape(-1, ws[1])
+        _acc(w, rows.T @ g)
         _acc(b, g.sum(axis=0))
 
     return _record(tape, x.value @ w.value + b.value, bwd)
 
 
+def _merge_heads(x: np.ndarray, d: int) -> np.ndarray:
+    """(..., heads, rows, d / heads) -> (..., rows, d), heads in column order."""
+    x = x.swapaxes(-2, -3)
+    return x.reshape(x.shape[:-2] + (d,))
+
+
 def attend(q: Tensor, k, v, heads: int, bias=None) -> Tensor:
     """Multi-head scaled dot-product attention as one record.
 
-    ``q`` is (n, d) and ``k``, ``v`` are (m, d). Each is viewed as a
-    (heads, rows, d / heads) stack of column blocks; the scores are one
-    batched product, scaled by 1/sqrt(d / heads). ``bias`` is added to the
-    (heads, n, m) scores under broadcasting, so shape (m,) biases keys and
-    (n, 1) biases query rows. Each score row goes through a max-shifted
-    softmax, so a row of equal scores attends uniformly. Returns the
-    (n, d) merge of the head outputs, heads in column order.
+    ``q`` is (..., n, d) and ``k``, ``v`` are (..., m, d); leading batch
+    axes broadcast, so (n, d) queries against (B, m, d) keys give (B, n, d).
+    Each is viewed as a (..., heads, rows, d / heads) stack of column
+    blocks; the scores are one batched product, scaled by 1/sqrt(d /
+    heads). ``bias`` is added to the (..., heads, n, m) scores under
+    broadcasting, so shape (m,) biases keys, (n, 1) biases query rows and
+    (B, 1, 1, m) biases each sample's keys. Each score row goes through a
+    max-shifted softmax, so a row of equal scores attends uniformly.
+    Returns the merge of the head outputs, heads in column order.
 
     ``k``, ``v`` and ``bias`` may each be a tensor or an array; an array is
     a constant, with no record and no gradient. The backward is the
-    analytic softmax-attention gradient; the gradient of a tensor bias is
+    analytic softmax-attention gradient; the gradient of an operand is
     summed over the axes it broadcast along.
     """
     tape = q.tape
@@ -301,42 +324,40 @@ def attend(q: Tensor, k, v, heads: int, bias=None) -> Tensor:
         return np.asarray(x, dtype=tape.dtype)
 
     kval, vval = value(k), value(v)
-    if q.value.ndim != 2:
-        raise DimensionError(f"attend expects (n, d) queries, got {q.value.shape}")
-    n, d = q.value.shape
-    m = kval.shape[0]
-    if kval.shape != (m, d) or vval.shape != (m, d) or d % heads:
+    qs, ks = q.value.shape, kval.shape
+    if len(qs) < 2:
+        raise DimensionError(f"attend expects (..., n, d) queries, got {qs}")
+    d = qs[-1]
+    if len(ks) < 2 or ks[-1] != d or vval.shape != ks or d % heads:
         raise DimensionError(
-            f"attend expects (m, {d}) keys and values and heads dividing {d}, got "
-            f"{kval.shape}, {vval.shape} and {heads} heads"
+            f"attend expects (..., m, {d}) keys and values and heads dividing {d}, got "
+            f"{ks}, {vval.shape} and {heads} heads"
         )
     dh = d // heads
-    qh = q.value.reshape(n, heads, dh).transpose(1, 0, 2)
-    kt = kval.reshape(m, heads, dh).transpose(1, 2, 0)
-    vh = vval.reshape(m, heads, dh).transpose(1, 0, 2)
+    kv_heads = ks[:-1] + (heads, dh)
+    qh = q.value.reshape(qs[:-1] + (heads, dh)).swapaxes(-2, -3)
+    kh = kval.reshape(kv_heads).swapaxes(-2, -3)
+    vh = vval.reshape(kv_heads).swapaxes(-2, -3)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=tape.dtype)
-    scores = (qh @ kt) * scale
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if bias is not None:
         scores = scores + value(bias)
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
-    val = (s @ vh).transpose(1, 0, 2).reshape(n, d)
+    val = _merge_heads(s @ vh, d)
 
     def bwd(g):
-        go = g.reshape(n, heads, dh).transpose(1, 0, 2)
-        gs = go @ np.swapaxes(vh, -1, -2)
+        go = g.reshape(g.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
+        gs = go @ vh.swapaxes(-1, -2)
         gscores = s * (gs - (gs * s).sum(axis=-1, keepdims=True))
         if isinstance(bias, Tensor):
             _acc(bias, _unbroadcast(gscores, bias.value.shape))
         graw = gscores * scale
-        gqh = graw @ np.swapaxes(kt, -1, -2)
         if isinstance(v, Tensor):
-            gvh = np.swapaxes(s, -1, -2) @ go
-            _acc(v, gvh.transpose(1, 0, 2).reshape(m, d))
+            _acc(v, _unbroadcast(_merge_heads(s.swapaxes(-1, -2) @ go, d), ks))
         if isinstance(k, Tensor):
-            gkt = np.swapaxes(qh, -1, -2) @ graw
-            _acc(k, gkt.transpose(2, 0, 1).reshape(m, d))
-        _acc(q, gqh.transpose(1, 0, 2).reshape(n, d))
+            _acc(k, _unbroadcast(_merge_heads(graw.swapaxes(-1, -2) @ qh, d), ks))
+        _acc(q, _unbroadcast(_merge_heads(graw @ kh, d), qs))
 
     return _record(tape, val, bwd)
 
@@ -364,6 +385,20 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _acc(t, g[tuple(idx)])
 
     return _record(tape, val, bwd)
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Join equal-shape tensors along a new leading axis."""
+    if not tensors:
+        raise UsageError("stack of an empty sequence")
+    tape = tensors[0].tape
+    tensors = [_lift(tape, t) for t in tensors]
+
+    def bwd(g):
+        for t, gt in zip(tensors, g):
+            _acc(t, gt)
+
+    return _record(tape, np.stack([t.value for t in tensors]), bwd)
 
 
 def slice_(a: Tensor, key) -> Tensor:

@@ -1,24 +1,29 @@
 """Teacher-forced training with adaptive moments and decoupled weight decay.
 
 One optimizer update consumes the next ``cfg.batch`` frames of a stream
-of clip visits in shuffled epoch order (gradient accumulation); the memory
-queue rolls through a visit's frames, across update boundaries, and starts
-empty at each visit. Training is single-threaded and fully deterministic
-under a fixed seed.
+of clip visits in shuffled epoch order; the memory queue rolls through a
+visit's frames, across update boundaries, and starts empty at each visit.
+The update's frames run as one batched forward (the memory layer steps
+through them in order, so a visit boundary inside the batch starts a
+fresh queue), its loss is the mean of the per-frame losses, and one
+backward gives the update's gradients. Training is single-threaded and
+fully deterministic under a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import tensor as T
 from .config import Config
 from .data import ClipSample
 from .encoders import tokenize_text
 from .errors import NumericalError, UsageError
 from .matching import composite_loss
+from .memory import MemoryQueue
 from .model import ForecastModel
 
 
@@ -102,6 +107,44 @@ def _frames(model: ForecastModel, clips: list[ClipSample], rng: np.random.Genera
                 yield clips[ci], i, queue
 
 
+def _sample_inputs(model: ForecastModel, batch, hands: list, rng: np.random.Generator,
+                   last_pred: list) -> list:
+    """Scheduled sampling: with probability ``cfg.scheduled_sampling``, a
+    frame past its visit's first takes the previous frame's forecast as its
+    hand input (``hands`` is updated in place). The forecasts come from a
+    no-record pass over the batch in order, on copies of its queues.
+    Returns the last frame's forecast, which the next update may feed."""
+    copies: dict[int, MemoryQueue] = {}
+    with model.tape.no_record():
+        for j, (clip, i, queue) in enumerate(batch):
+            if i > 0 and rng.random() < model.cfg.scheduled_sampling:
+                hands[j] = last_pred
+            q = copies.setdefault(id(queue), replace(queue, entries=list(queue.entries)))
+            ids = tokenize_text(clip.instruction, model.cfg.text_len)
+            res = model.forward_step(clip.frames[i], hands[j], q, instruction_ids=ids)
+            last_pred = model.select_hands(res.decoded)
+    return last_pred
+
+
+def batch_loss(model: ForecastModel, batch, hands: list):
+    """One recorded forward over ``batch``, a list of (clip, frame index,
+    queue) whose frames take ``hands`` as input. Returns the mean of the
+    per-frame ``composite_loss`` values and the per-frame breakdowns."""
+    cfg = model.cfg
+    res = model.forward_step(
+        np.stack([clip.frames[i] for clip, i, _ in batch]), hands,
+        [queue for _, _, queue in batch],
+        instruction_ids=np.stack([tokenize_text(clip.instruction, cfg.text_len)
+                                  for clip, _, _ in batch]),
+    )
+    losses, breakdowns = [], []
+    for j, (clip, i, _) in enumerate(batch):
+        loss, breakdown, _ = composite_loss(res.decoded.frame(j), clip.gt[i + 1], cfg)
+        losses.append(loss)
+        breakdowns.append(breakdown)
+    return T.mean_(T.stack(losses)), breakdowns
+
+
 def train(model: ForecastModel, clips: list[ClipSample], *,
           steps: Optional[int] = None,
           on_record: Optional[Callable[[LossRecord], None]] = None) -> list[LossRecord]:
@@ -117,34 +160,18 @@ def train(model: ForecastModel, clips: list[ClipSample], *,
 
     records: list[LossRecord] = []
     for update in range(total_updates):
-        grad_sum: dict[str, np.ndarray] = {}
-        term_sums = {"total": 0.0, "type": 0.0, "box": 0.0, "pose": 0.0, "traj": 0.0}
-        for _ in range(cfg.batch):
-            clip, i, queue = next(frames)
-            model.tape.reset()
-            hands_in = list(clip.gt[i])
-            if cfg.scheduled_sampling > 0 and i > 0:
-                if sample_rng.random() < cfg.scheduled_sampling:
-                    hands_in = last_pred
-            res = model.forward_step(
-                clip.frames[i], hands_in, queue,
-                instruction_ids=tokenize_text(clip.instruction, cfg.text_len),
-            )
-            loss, breakdown, _ = composite_loss(res.decoded, clip.gt[i + 1], cfg)
-            _check_finite(breakdown, update + 1)
-            for k, g in model.tape.backward(loss).items():
-                if k in grad_sum:
-                    grad_sum[k] += g.astype(np.float64)
-                else:
-                    grad_sum[k] = g.astype(np.float64)
-            for k in term_sums:
-                term_sums[k] += breakdown[k]
-            if cfg.scheduled_sampling > 0:
-                last_pred = model.select_hands(res.decoded)
-        optimizer.lr = lr_at(cfg, update, total_updates)
-        optimizer.step({k: v / cfg.batch for k, v in grad_sum.items()})
-        rec = LossRecord(step=update + 1, **{k: v / cfg.batch for k, v in term_sums.items()})
+        batch = [next(frames) for _ in range(cfg.batch)]
+        hands = [list(clip.gt[i]) for clip, i, _ in batch]
+        if cfg.scheduled_sampling > 0:
+            last_pred = _sample_inputs(model, batch, hands, sample_rng, last_pred)
+        model.tape.reset()
+        loss, breakdowns = batch_loss(model, batch, hands)
+        rec = LossRecord(step=update + 1, **{
+            k: sum(b[k] for b in breakdowns) / cfg.batch
+            for k in ("total", "type", "box", "pose", "traj")})
         _check_finite(rec.__dict__, update + 1)
+        optimizer.lr = lr_at(cfg, update, total_updates)
+        optimizer.step(model.tape.backward(loss))
         records.append(rec)
         if on_record:
             on_record(rec)

@@ -156,6 +156,24 @@ def test_attend_heads_and_bias(heads, bias):
         assert abs(alpha.tape_grad) > 1e-3, alpha
 
 
+@pytest.mark.parametrize("queries", ("batched", "shared"))
+def test_attend_batch_axis_and_key_mask(queries):
+    # (B, n, d) or broadcast (n, d) queries against (B, m, d) keys and
+    # values, with a per-sample key mask, as the batched decoder runs
+    rng = np.random.default_rng(11)
+    b, n, m, d = 2, 3, 4, 8
+    mask = np.array([[1.0, 1.0, 0.0, 1.0], [0.0, 1.0, 1.0, 1.0]])
+    bias = ((1.0 - mask) * -1e9)[:, None, None, :]
+
+    def build(tape, h):
+        out = T.attend(h["q"], h["k"], h["v"], 2, bias)
+        return T.sum_(T.mul(out, out))
+
+    q_shape = (b, n, d) if queries == "batched" else (n, d)
+    run(build, {"q": rng.standard_normal(q_shape), "k": rng.standard_normal((b, m, d)),
+                "v": rng.standard_normal((b, m, d))})
+
+
 def test_concat_slice_reshape():
     rng = np.random.default_rng(7)
 

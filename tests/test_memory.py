@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from sfhand import tensor as T
-from sfhand.config import KEY_BROADCAST, OFF, QUERY_BROADCAST_LITERAL, Config
+from sfhand.config import KEY_BROADCAST, OFF, Config
 from sfhand.errors import DimensionError, UsageError
 from sfhand.hand import BBox, HandPose, HandState, HandType, Trajectory3D
 from sfhand.memory import MemoryLayer, MemoryQueue, roi_mask
@@ -163,16 +163,20 @@ class TestMemoryForward:
         npt.assert_allclose(out.value - e.value, np.tile(row, (f.tok, 1)), atol=1e-12)
 
     def test_literal_mode_equals_off_for_any_alpha(self):
+        # alpha times a mask over query rows, broadcast along each row, is
+        # a constant per softmax row, so it cannot move the attention
+        f = LayerFixture(seed=1)
+        kv = f.queue_with(3).flat_keys(np.float64)
+        e = f.tokens()
+        q_mask = f.rng.integers(0, 2, (f.tok, 1)).astype(np.float64)
+        off = T.attend(e, kv, kv, f.cfg.memory_heads).value
         for alpha in (0.0, 1.0, 10.0, 50.0):
-            off, lit = outputs_by_mode((OFF, QUERY_BROADCAST_LITERAL), seed=1, alpha=alpha,
-                                       entries=3)
+            lit = T.attend(e, kv, kv, f.cfg.memory_heads, bias=alpha * q_mask).value
             npt.assert_allclose(lit, off, atol=1e-12)
 
     def test_all_modes_agree_at_alpha_zero(self):
-        outs = outputs_by_mode((OFF, KEY_BROADCAST, QUERY_BROADCAST_LITERAL), seed=2,
-                               alpha=0.0, entries=2)
+        outs = outputs_by_mode((OFF, KEY_BROADCAST), seed=2, alpha=0.0, entries=2)
         npt.assert_array_equal(outs[0], outs[1])
-        npt.assert_array_equal(outs[0], outs[2])
 
     def test_key_broadcast_concentrates_on_single_masked_key(self):
         f = LayerFixture(seed=3, mode=KEY_BROADCAST)
@@ -211,6 +215,8 @@ class TestMemoryForward:
     def test_mode_validation_and_shape_checks(self):
         with pytest.raises(UsageError):
             Config(memory_mode="nope")
+        with pytest.raises(UsageError):  # the row bias was a no-op, and is gone
+            Config.from_json('{"memory_mode": "query_broadcast_literal"}')
         f = LayerFixture()
         with pytest.raises(DimensionError):
             f.layer.forward(f.queue_with(1), f.tokens(), np.zeros(f.tok - 1))

@@ -90,6 +90,21 @@ class TestMatmul:
         with pytest.raises(DimensionError):
             T.affine(z(3), z(3, 4), z(4))
 
+    def test_batch_axis_equals_per_sample_loop(self):
+        rng = np.random.default_rng(11)
+        x0, w0, b0 = (rng.standard_normal((3, 5, 4)), rng.standard_normal((4, 2)),
+                      rng.standard_normal(2))
+        tape = make_tape()
+        x, w, b = (tape.parameter(n, v) for n, v in (("x", x0), ("w", w0), ("b", b0)))
+        out = T.affine(x, w, b)
+        for j in range(3):
+            npt.assert_array_equal(out.value[j], T.affine(tape.constant(x0[j]), w, b).value)
+        gout = rng.standard_normal(out.value.shape)
+        grads = tape.backward(T.sum_(T.mul(out, gout)))
+        npt.assert_allclose(grads["x"], gout @ w0.T, atol=1e-12)
+        npt.assert_allclose(grads["w"], sum(x0[j].T @ gout[j] for j in range(3)), atol=1e-12)
+        npt.assert_allclose(grads["b"], gout.sum(axis=(0, 1)), atol=1e-12)
+
     def test_replaced_weight_is_not_kept_alive(self):
         # the optimizer replaces parameter arrays while the last step's
         # records are still on the tape; they must not pin the old arrays
@@ -188,6 +203,39 @@ class TestAttend:
         for name in ("q", "memory.alpha"):
             npt.assert_array_equal(grads[1][name], grads[0][name])
 
+    @pytest.mark.parametrize("masked", (False, True))
+    @pytest.mark.parametrize("shared_queries", (False, True))
+    def test_batch_axis_equals_per_sample_loop(self, shared_queries, masked):
+        # (B, n, d) queries, or (n, d) queries shared by every sample, against
+        # (B, m, d) keys and values, with a per-sample (B, 1, 1, m) key mask
+        rng = np.random.default_rng(12)
+        b, n, m, d, heads = 3, 4, 5, 8, 2
+        q0 = rng.standard_normal((n, d) if shared_queries else (b, n, d))
+        k0, v0 = rng.standard_normal((b, m, d)), rng.standard_normal((b, m, d))
+        bias = (rng.integers(0, 2, (b, 1, 1, m)) - 1.0) * 1e9 if masked else None
+        tape = make_tape()
+        q, k, v = (tape.parameter(name, x) for name, x in (("q", q0), ("k", k0), ("v", v0)))
+        out = T.attend(q, k, v, heads, bias)
+        assert out.value.shape == (b, n, d)
+        w = rng.standard_normal((b, n, d))
+        grads = tape.backward(T.sum_(T.mul(out, w)))
+
+        want = {"q": np.zeros_like(q0), "k": np.zeros_like(k0), "v": np.zeros_like(v0)}
+        for j in range(b):
+            loop = make_tape()
+            qj = loop.parameter("q", q0 if shared_queries else q0[j])
+            kj, vj = loop.parameter("k", k0[j]), loop.parameter("v", v0[j])
+            outj = T.attend(qj, kj, vj, heads, None if bias is None else bias[j, 0, 0])
+            npt.assert_allclose(out.value[j], outj.value, atol=1e-12)
+            gj = loop.backward(T.sum_(T.mul(outj, w[j])))
+            if shared_queries:
+                want["q"] += gj["q"]
+            else:
+                want["q"][j] = gj["q"]
+            want["k"][j], want["v"][j] = gj["k"], gj["v"]
+        for name in want:
+            npt.assert_allclose(grads[name], want[name], atol=1e-12, err_msg=name)
+
     def test_shape_mismatch(self):
         tape = make_tape()
         z = lambda *shape: tape.constant(np.zeros(shape))  # noqa: E731
@@ -235,6 +283,26 @@ class TestBackward:
         q = tape.parameter("q", np.ones(2))
         grads = tape.backward(T.sum_(p))
         npt.assert_array_equal(grads["q"], np.zeros(2))
+
+    def test_sweep_frees_records_and_keeps_parameters(self):
+        tape = make_tape()
+        p = tape.parameter("p", np.arange(3.0))
+        sq = T.mul(p, p)
+        loss = T.sum_(sq)
+        grads = tape.backward(loss)
+        npt.assert_array_equal(grads["p"], 2 * np.arange(3.0))
+        assert tape.nodes == [p]
+        for record in (sq, loss):
+            assert record.bwd is None and record.grad is None
+        assert p.grad is grads["p"]
+
+    def test_second_backward_of_one_loss_rejected(self):
+        tape = make_tape()
+        p = tape.parameter("p", np.ones(3))
+        loss = T.sum_(T.mul(p, p))
+        tape.backward(loss)
+        with pytest.raises(UsageError):
+            tape.backward(loss)
 
     def test_tensor_made_while_not_recording_rejected(self):
         tape = make_tape()

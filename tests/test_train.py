@@ -1,13 +1,19 @@
 """Training loop: determinism, update count, schedule, and frame order."""
 
+import copy
+
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from sfhand.config import Config
 from sfhand.data import ClipSample, generate_synthetic
+from sfhand.encoders import tokenize_text
 from sfhand.errors import UsageError
+from sfhand.matching import composite_loss
+from sfhand.memory import MemoryQueue
 from sfhand.model import ForecastModel
-from sfhand.train import lr_at, train
+from sfhand.train import batch_loss, lr_at, train
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8, text_len=4,
             memory_size=8, text_layers=1, hand_layers=1, decoder_layers=1, batch=4)
@@ -71,19 +77,26 @@ def test_scheduled_sampling_feeds_predictions():
 def test_frames_follow_shuffled_visits_with_a_fresh_queue_each():
     cfg = Config(**TINY)
     model = ForecastModel(cfg)
-    step = model.forward_step
+    step, remember = model.forward_step, model.memory.forward
     seen = []  # (clip, frame index, queue length before the step, update)
     records = []
+    batch_hands = []  # the hand inputs of the forward_step running now
 
-    # frames are views into their clip, so the data address names them
-    where = {clip.frames[i].ctypes.data: (c, i)
+    # frames repeat within a clip, but every frame's hand states are the
+    # clip's own objects, so the identity of the first one names the frame
+    where = {id(clip.gt[i][0]): (c, i)
              for c, clip in enumerate(CLIPS) for i in range(clip.num_frames)}
 
-    def spy(frame, hands, queue, **kw):
-        seen.append((*where[frame.ctypes.data], len(queue), len(records)))
-        return step(frame, hands, queue, **kw)
+    def step_spy(frames, hands, queues, **kw):
+        batch_hands[:] = hands
+        return step(frames, hands, queues, **kw)
 
-    model.forward_step = spy
+    def memory_spy(queue, e_t, mask):
+        hands = batch_hands.pop(0)
+        seen.append((*where[id(hands[0])], len(queue), len(records)))
+        return remember(queue, e_t, mask)
+
+    model.forward_step, model.memory.forward = step_spy, memory_spy
     train(model, CLIPS, steps=5, on_record=records.append)
 
     rng = np.random.default_rng(cfg.seed)
@@ -94,3 +107,75 @@ def test_frames_follow_shuffled_visits_with_a_fresh_queue_each():
     assert [n for _, _, n, _ in seen] == [i for _, i in expected]
     # the first visit's last step opens the second update with 4 entries
     assert seen[4][2:] == (4, 1)
+
+
+def test_scheduled_sampling_feeds_the_previous_forecast():
+    # every frame past a visit's first is fed the forecast that the
+    # recorded batch made for the frame before it
+    cfg = Config(**TINY, confidence_threshold=0.0, scheduled_sampling=1.0,
+                 precision="float64")
+    model = ForecastModel(cfg)
+    step = model.forward_step
+    fed, forecasts = [], []
+
+    def spy(frames, hands, queues, **kw):
+        res = step(frames, hands, queues, **kw)
+        if not isinstance(queues, MemoryQueue):  # the recorded batch
+            fed.extend(hands)
+            forecasts.extend(model.select_hands(res.decoded.frame(j))
+                             for j in range(len(hands)))
+        return res
+
+    model.forward_step = spy
+    train(model, CLIPS, steps=3)
+    rng = np.random.default_rng(cfg.seed)
+    order = [(c, i) for c in rng.permutation(3) for i in range(5)][:12]
+    assert len(fed) == 12
+    for k, (c, i) in enumerate(order):
+        if i == 0:
+            assert fed[k] == list(CLIPS[c].gt[0])
+            continue
+        assert [h.hand_type for h in fed[k]] == [h.hand_type for h in forecasts[k - 1]]
+        for got, want in zip(fed[k], forecasts[k - 1]):
+            npt.assert_allclose(got.bbox.as_array(), want.bbox.as_array(), rtol=1e-12)
+            npt.assert_allclose(got.pose.theta, want.pose.theta, rtol=1e-12, atol=1e-12)
+            npt.assert_allclose(got.traj.as_array(), want.traj.as_array(), rtol=1e-12)
+
+
+@pytest.mark.parametrize("ablation", ({}, dict(use_memory=False), dict(use_text=False),
+                                      dict(use_video=False), dict(use_hand=False)),
+                         ids=("full", "no_memory", "no_text", "no_video", "no_hand"))
+def test_batched_update_equals_mean_of_per_frame_steps(ablation):
+    # a batch that ends one visit (frames 3, 4 of clip 0, whose queue holds
+    # frames 0..2) and opens the next (frames 0, 1 of clip 2)
+    cfg = Config(**TINY, **ablation, precision="float64")
+    model = ForecastModel(cfg)
+    primed = model.new_queue()
+    with model.tape.no_record():
+        for i in range(3):
+            e_t, mask = model.encode_current(CLIPS[0].frames[i], CLIPS[0].gt[i])
+            primed.enqueue(e_t.value, mask)
+
+    def batch_with_fresh_queues():
+        old, new = copy.deepcopy(primed), model.new_queue()
+        return [(CLIPS[0], 3, old), (CLIPS[0], 4, old), (CLIPS[2], 0, new), (CLIPS[2], 1, new)]
+
+    batch = batch_with_fresh_queues()
+    model.tape.reset()
+    loss, _ = batch_loss(model, batch, [list(clip.gt[i]) for clip, i, _ in batch])
+    batched = loss.item(), model.tape.backward(loss)
+
+    losses, grads = [], {}
+    for clip, i, queue in batch_with_fresh_queues():
+        model.tape.reset()
+        res = model.forward_step(clip.frames[i], list(clip.gt[i]), queue,
+                                 instruction_ids=tokenize_text(clip.instruction, cfg.text_len))
+        frame_loss = composite_loss(res.decoded, clip.gt[i + 1], cfg)[0]
+        losses.append(frame_loss.item())
+        for name, g in model.tape.backward(frame_loss).items():
+            grads[name] = grads.get(name, 0.0) + g / len(batch)
+
+    assert batched[0] == pytest.approx(np.mean(losses), rel=1e-12)
+    largest = max(np.abs(g).max() for g in grads.values())
+    for name, g in grads.items():
+        npt.assert_allclose(batched[1][name], g, rtol=0, atol=1e-12 * largest, err_msg=name)
