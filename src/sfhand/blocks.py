@@ -10,10 +10,12 @@ from .tensor import Tape, Tensor
 MASK_BIAS = -1e9  # additive score for keys excluded from attention
 
 
-def init_linear(tape: Tape, rng: np.random.Generator, name: str, nin: int, nout: int):
-    w = tape.parameter(f"{name}.w", rng.normal(0.0, 1.0 / np.sqrt(nin), (nin, nout)))
-    b = tape.parameter(f"{name}.b", np.zeros(nout))
-    return {"w": w, "b": b}
+def init_linear(tape: Tape, rng: np.random.Generator, name: str, nin: int, nout: int,
+                bias: bool = True):
+    p = {"w": tape.parameter(f"{name}.w", rng.normal(0.0, 1.0 / np.sqrt(nin), (nin, nout)))}
+    if bias:
+        p["b"] = tape.parameter(f"{name}.b", np.zeros(nout))
+    return p
 
 
 def init_layernorm(tape: Tape, name: str, dim: int):
@@ -28,9 +30,11 @@ def init_table(tape: Tape, rng: np.random.Generator, name: str, rows: int, dim: 
 
 
 def init_attention(tape: Tape, rng: np.random.Generator, name: str, d: int):
+    # no key bias: it adds a constant to each query's score row, which the
+    # softmax cancels, so its gradient is exactly zero
     return {
         "q": init_linear(tape, rng, f"{name}.q", d, d),
-        "k": init_linear(tape, rng, f"{name}.k", d, d),
+        "k": init_linear(tape, rng, f"{name}.k", d, d, bias=False),
         "v": init_linear(tape, rng, f"{name}.v", d, d),
         "o": init_linear(tape, rng, f"{name}.o", d, d),
     }
@@ -52,7 +56,7 @@ def init_block(tape: Tape, rng: np.random.Generator, name: str, d: int, mlp_rati
 
 
 def linear(x: Tensor, p) -> Tensor:
-    return T.affine(x, p["w"], p["b"])
+    return T.affine(x, p["w"], p.get("b"))
 
 
 def layer_norm(x: Tensor, p) -> Tensor:

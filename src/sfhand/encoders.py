@@ -1,8 +1,9 @@
 """Input encoders: byte-level text, patch-based visual, masked hand.
 
-Each encoder is a small pre-LN transformer that returns its tokens as one
-(n, d) tensor of the shared dimension d, or (B, n, d) for a batch of B
-inputs; visual tokens are in row-major patch-grid order. The text encoder
+Each encoder is a small pre-LN transformer that returns a batch of B
+inputs as one (B, n, d) tensor of the shared dimension d; visual tokens
+are in row-major patch-grid order. The text and visual encoders also take
+a single input without the B axis and return (n, d). The text encoder
 masks PAD positions out of attention; the hand encoder masks invisible
 hand slots and zeroes their output tokens.
 """
@@ -53,12 +54,6 @@ def hand_slot_vector(state: Optional[HandState], pose_dim: int) -> np.ndarray:
     vec[7 + pose_dim : 10 + pose_dim] = state.traj.as_array() / CM_PER_M
     vec[10 + pose_dim] = 1.0
     return vec
-
-
-def is_hand_batch(states) -> bool:
-    """Whether ``states`` is a list of B per-frame hand lists rather than
-    one frame's hand states."""
-    return bool(states) and not isinstance(states[0], HandState)
 
 
 def hands_to_slots(states) -> list[Optional[HandState]]:
@@ -156,11 +151,8 @@ class HandEncoder:
         return np.stack([hand_slot_vector(s, self.cfg.pose_dim) for s in slots]), vis
 
     def __call__(self, states) -> Tensor:
-        """One frame's hand states, or a list of B such lists for a batch."""
-        if is_hand_batch(states):
-            raw, vis = (np.stack(a) for a in zip(*map(self._slot_inputs, states)))
-        else:
-            raw, vis = self._slot_inputs(states)
+        """B lists of one frame's hand states each; (B, 2, d) slot tokens."""
+        raw, vis = (np.stack(a) for a in zip(*map(self._slot_inputs, states)))
         tape = self.slot.tape
         x = T.add(blocks.linear(tape.constant(raw), self.proj), self.slot)
         for p in self.blocks:

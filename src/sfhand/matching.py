@@ -6,7 +6,9 @@ resolves ties to the smallest (query, target) pair list among the optima.
 The loss matches queries to ground-truth hands on the very terms it
 optimizes: L1 + GIoU box, L1 pose and L1 trajectory terms (trajectory
 rescaled cm -> m to balance magnitudes), computed once for every
-query/ground-truth pair, plus a weighted type cross-entropy.
+frame/query/ground-truth triple of a batch, plus a weighted type
+cross-entropy. Each frame is matched separately; the loss graph is built
+once for the whole batch.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from . import tensor as T
 from .config import Config
 from .errors import DimensionError, NumericalError, UsageError
-from .hand import CM_PER_M, HandState, HandType
+from .hand import CM_PER_M, BBox, HandPose, HandState, HandType, Trajectory3D
 from .model import DecodedStep, _softmax_np
 from .tensor import Tensor
 
@@ -77,22 +79,32 @@ def _lambdas(cfg: Config) -> dict[str, float]:
             "pose": cfg.lambda_pose, "traj": cfg.lambda_traj}
 
 
-def match_cost(decoded: DecodedStep, gts: list[HandState], cfg: Config):
-    """Pairwise query/ground-truth cost, and the unweighted (Q, G) loss terms
-    on the tape it is built from, in the tape's precision (float32 by
-    default): box L1 + 1 - GIoU, mean pose L1, and trajectory L1 in meters.
-    The cost is ``lambda_type * (1 - p)`` plus their weighted values cast to
-    float64; costs equal at the tape's precision tie (smallest pair list wins)."""
-    if not 1 <= len(gts) <= 2:
-        raise UsageError(f"expected 1..2 ground-truth hands, got {len(gts)}")
-    gt_boxes = np.stack([g.bbox.as_array() for g in gts])
-    gt_pose = np.stack([g.pose.theta for g in gts])
-    gt_traj = np.stack([g.traj.as_array() for g in gts])
-    if gt_pose.shape[1] != cfg.pose_dim:
-        raise DimensionError(f"ground-truth pose dim {gt_pose.shape[1]} != {cfg.pose_dim}")
-    q_n = decoded.type_logits.value.shape[0]
-    # (Q, 1, k) heads broadcast against (G, k) ground truth
-    boxes, pose, traj = (T.reshape(h, (q_n, 1, -1))
+def match_cost(decoded: DecodedStep, gts: list[list[HandState]], cfg: Config):
+    """Pairwise query/ground-truth costs of a batch, and the unweighted
+    (B, Q, G) loss terms on the tape they are built from, in the tape's
+    precision (float32 by default): box L1 + 1 - GIoU, mean pose L1, and
+    trajectory L1 in meters. ``gts`` holds B lists of 0..2 hands; G is the
+    longest, at least 1, and shorter lists are padded after their hands
+    with a whole-frame box, which keeps GIoU finite. Frame b's cost is
+    ``cost[b, :, :len(gts[b])]``: ``lambda_type * (1 - p)`` plus the
+    weighted terms cast to float64; costs equal at the tape's precision tie
+    (smallest pair list wins)."""
+    b_n, q_n = decoded.type_logits.value.shape[:2]
+    if len(gts) != b_n or any(len(frame) > 2 for frame in gts):
+        raise UsageError(f"expected {b_n} lists of 0..2 ground-truth hands, "
+                         f"got {[len(frame) for frame in gts]}")
+    if any(h.pose.dim != cfg.pose_dim for frame in gts for h in frame):
+        raise DimensionError(f"ground-truth pose dim != {cfg.pose_dim}")
+    g_n = max([1, *map(len, gts)])
+    pad = HandState(HandType.BACKGROUND, BBox(0.5, 0.5, 1.0, 1.0),
+                    HandPose(np.zeros(cfg.pose_dim)), Trajectory3D(0.0, 0.0, 0.0))
+    padded = [[*frame] + [pad] * (g_n - len(frame)) for frame in gts]
+    gt_type = np.array([[h.hand_type.value for h in frame] for frame in padded])
+    gt_boxes = np.array([[h.bbox.as_array() for h in frame] for frame in padded])[:, None]
+    gt_pose = np.array([[h.pose.theta for h in frame] for frame in padded])[:, None]
+    gt_traj = np.array([[h.traj.as_array() for h in frame] for frame in padded])[:, None]
+    # (B, Q, 1, k) heads broadcast against (B, 1, G, k) ground truth
+    boxes, pose, traj = (T.reshape(h, (b_n, q_n, 1, -1))
                          for h in (decoded.boxes, decoded.pose, decoded.traj))
     terms = {
         "box": T.add(T.sum_(T.abs_(T.sub(boxes, gt_boxes)), axis=-1),
@@ -102,7 +114,7 @@ def match_cost(decoded: DecodedStep, gts: list[HandState], cfg: Config):
     }
     probs = _softmax_np(decoded.type_logits.value.astype(np.float64))
     lambdas = _lambdas(cfg)
-    cost = lambdas["type"] * (1.0 - probs[:, [g.hand_type.value for g in gts]])
+    cost = lambdas["type"] * (1.0 - np.take_along_axis(probs, gt_type[:, None, :], axis=-1))
     for name, term in terms.items():
         cost = cost + lambdas[name] * term.value.astype(np.float64)
     return cost, terms
@@ -110,7 +122,8 @@ def match_cost(decoded: DecodedStep, gts: list[HandState], cfg: Config):
 
 def giou_pairs(pred_boxes: Tensor, gt_boxes: np.ndarray) -> Tensor:
     """Differentiable GIoU of center-form boxes; leading axes broadcast, so
-    (M, 4) with (M, 4) pairs rows and (Q, 1, 4) with (G, 4) gives (Q, G)."""
+    (M, 4) with (M, 4) pairs rows and (B, Q, 1, 4) with (B, 1, G, 4) gives
+    (B, Q, G)."""
     eps = 1e-9
     cx, cy = pred_boxes[..., 0], pred_boxes[..., 1]
     w, h = pred_boxes[..., 2], pred_boxes[..., 3]
@@ -134,44 +147,49 @@ def giou_pairs(pred_boxes: Tensor, gt_boxes: np.ndarray) -> Tensor:
     )
 
 
-def composite_loss(decoded: DecodedStep, gts: list[HandState], cfg: Config):
-    """Matched-pair loss: returns (scalar tensor, weighted breakdown, assignment).
+def composite_loss(decoded: DecodedStep, gts: list[list[HandState]], cfg: Config):
+    """Matched-pair loss of a batch: returns (scalar tensor, weighted
+    breakdown, one assignment per frame).
 
-    The assignment is computed on detached values and held fixed during
-    differentiation; each box/pose/traj term is the mean of its matched
-    ``match_cost`` entries. Unmatched queries incur only a down-weighted
-    background cross-entropy; a zero-ground-truth frame therefore has
-    type loss only. Breakdown entries are the lambda-weighted
-    contributions, so a zeroed lambda reports exactly 0. Non-finite heads
-    (a diverged model) raise NumericalError before matching.
+    ``decoded`` holds (B, Q, ·) heads and ``gts`` B lists of 0..2 hands.
+    The loss is the mean over frames of each frame's loss. Each frame's
+    assignment is computed on detached values and held fixed during
+    differentiation; a frame's box/pose/traj term is the mean of its
+    matched ``match_cost`` entries, so each matched entry weighs
+    1 / (B * n_b). Unmatched queries incur only a down-weighted background
+    cross-entropy, taken once over the B * Q rows; a zero-ground-truth
+    frame therefore has type loss only. Breakdown entries are the
+    lambda-weighted contributions, so a zeroed lambda reports exactly 0.
+    Non-finite heads (a diverged model) raise NumericalError before
+    matching.
     """
     if not np.all(np.isfinite(decoded.stacked_values())):
         raise NumericalError("decoded heads contain non-finite values")
-    q_n = decoded.type_logits.value.shape[0]
+    cost, terms = match_cost(decoded, gts, cfg)
+    b_n, q_n = cost.shape[:2]
+    assigns = [hungarian(cost[b, :, :len(frame)]) if frame else Assignment(pairs=(), total=0.0)
+               for b, frame in enumerate(gts)]
 
-    if gts:
-        cost, terms = match_cost(decoded, gts, cfg)
-        assign = hungarian(cost)
-    else:
-        assign = Assignment(pairs=(), total=0.0)
-
-    targets = np.full(q_n, HandType.BACKGROUND.value, dtype=np.int64)
-    weights = np.full(q_n, cfg.background_weight)
-    for q, g in assign.pairs:
-        targets[q] = gts[g].hand_type.value
-        weights[q] = 1.0
-    type_term = T.cross_entropy(decoded.type_logits, targets, weights=weights)
+    targets = np.full((b_n, q_n), HandType.BACKGROUND.value, dtype=np.int64)
+    weights = np.full((b_n, q_n), cfg.background_weight)
+    matched = np.zeros(cost.shape)  # each matched entry's weight in the loss
+    for b, assign in enumerate(assigns):
+        for q, g in assign.pairs:
+            targets[b, q] = gts[b][g].hand_type.value
+            weights[b, q] = 1.0
+            matched[b, q, g] = 1.0 / (b_n * len(gts[b]))
+    logits = T.reshape(decoded.type_logits, (b_n * q_n, -1))
+    type_term = T.cross_entropy(logits, targets.ravel(), weights=weights.ravel())
 
     lambdas = _lambdas(cfg)
     total = T.mul(type_term, lambdas["type"])
     breakdown = {"type": lambdas["type"] * type_term.item()}
-    matched = tuple(np.array(ix) for ix in zip(*assign.pairs))  # (rows, cols)
     for name in ("box", "pose", "traj"):
-        if matched and lambdas[name] > 0.0:
-            term = T.mean_(terms[name][matched])
+        if lambdas[name] > 0.0:
+            term = T.sum_(T.mul(terms[name], matched))
             total = T.add(total, T.mul(term, lambdas[name]))
             breakdown[name] = lambdas[name] * term.item()
         else:
             breakdown[name] = 0.0
     breakdown["total"] = total.item()
-    return total, breakdown, assign
+    return total, breakdown, assigns

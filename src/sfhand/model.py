@@ -6,10 +6,10 @@ decodes a fixed set of query predictions (type logits, box, pose,
 trajectory). The box head is sigmoid-bounded; pose and trajectory heads
 are linear in natural units (radians, centimeters).
 
-The same step runs a batch of B frames: every tensor gains a leading B
-axis, and the decoder's queries broadcast against the (B, n, d) tokens.
-The memory layer is the one per-frame loop, since each frame attends to
-the entries the frames before it enqueued.
+A step always runs a batch of B frames, B = 1 when streaming: every
+tensor has a leading B axis, and the decoder's queries broadcast against
+the (B, n, d) tokens. The memory layer is the one per-frame loop, since
+each frame attends to the entries the frames before it enqueued.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import blocks, tensor as T
 from .config import Config
-from .encoders import HandEncoder, TextEncoder, VisualEncoder, is_hand_batch, tokenize_text
+from .encoders import HandEncoder, TextEncoder, VisualEncoder, tokenize_text
 from .errors import DimensionError, NumericalError, UsageError
 from .hand import CM_PER_M, BBox, HandPose, HandState, HandType, Trajectory3D
 from .memory import MemoryLayer, MemoryQueue, roi_mask
@@ -34,28 +34,22 @@ TRAJ_BOUND = 9999.0  # clamp head output inside the Trajectory3D sanity range
 class DecodedStep:
     """Per-query prediction heads, still attached to the tape."""
 
-    # each (Q, k), or (B, Q, k) for a batch of B frames
-    type_logits: Tensor  # (Q, 3) left/right/background
-    boxes: Tensor        # (Q, 4) sigmoid cx cy w h
-    pose: Tensor         # (Q, P)
-    traj: Tensor         # (Q, 3) centimeters
+    # each (B, Q, k) for a batch of B frames; one frame's are (Q, k)
+    type_logits: Tensor  # (B, Q, 3) left/right/background
+    boxes: Tensor        # (B, Q, 4) sigmoid cx cy w h
+    pose: Tensor         # (B, Q, P)
+    traj: Tensor         # (B, Q, 3) centimeters
 
     def stacked_values(self) -> np.ndarray:
-        """All head outputs as one (Q, 3+4+P+3) array, detached."""
+        """All head outputs as one (B, Q, 3+4+P+3) array, detached."""
         return np.concatenate(
             [self.type_logits.value, self.boxes.value, self.pose.value, self.traj.value],
             axis=-1,
         )
 
     def frame(self, j: int) -> "DecodedStep":
-        """Frame j's heads of a batch, on the tape."""
+        """Frame j's (Q, k) heads of a batch, on the tape."""
         return DecodedStep(self.type_logits[j], self.boxes[j], self.pose[j], self.traj[j])
-
-
-@dataclass
-class StepResult:
-    decoded: DecodedStep
-    f_me: Tensor  # (n, d) or (B, n, d) tokens the decoder attends to
 
 
 def _softmax_np(x: np.ndarray) -> np.ndarray:
@@ -105,26 +99,24 @@ class ForecastModel:
         with self.tape.no_record():
             return self.text(ids).value
 
-    def encode_current(self, frame: Optional[np.ndarray], hands):
-        """Current-step visual+hand tokens on the tape (None when both
-        modalities are off) and their ROI mask; the queue stores these.
-        A batch of frames and hand lists gives (B, n, d) tokens and a
-        (B, n) mask."""
+    def encode_current(self, frames: Optional[np.ndarray], hands: Sequence[list]):
+        """(B, n, d) visual+hand tokens on the tape (None when both
+        modalities are off) and their (B, n) ROI mask, from (B, R, R, 3)
+        frames and B hand lists; the queue stores one frame's of each."""
         parts: list[Tensor] = []
         if self.cfg.use_video:
-            if frame is None:
+            if frames is None:
                 raise UsageError("video enabled but no frame given")
-            parts.append(self.visual(frame))
+            parts.append(self.visual(frames))
         if self.cfg.use_hand:
             parts.append(self.hand(hands))
         e_t = T.concat(parts, axis=-2) if parts else None
-        if is_hand_batch(hands):
-            return e_t, np.stack([roi_mask(h, self.cfg) for h in hands])
-        return e_t, roi_mask(hands, self.cfg)
+        return e_t, np.stack([roi_mask(h, self.cfg) for h in hands])
 
     # -- decoding --------------------------------------------------------------
 
     def decode(self, f_me: Tensor) -> DecodedStep:
+        """(B, Q, ·) heads from the (B, n, d) tokens the queries attend to."""
         n, d = f_me.value.shape[-2:]
         if d != self.cfg.d:
             raise DimensionError(f"memory-augmented tokens have dim {d}, expected {self.cfg.d}")
@@ -144,64 +136,60 @@ class ForecastModel:
             traj=T.mul(blocks.linear(x, self.head_traj), CM_PER_M),
         )
 
-    # -- the full per-frame forward -------------------------------------------
+    # -- the full forward -----------------------------------------------------
 
     def forward_step(
         self,
-        frame: Optional[np.ndarray],
-        hands,
-        queue: MemoryQueue | Sequence[MemoryQueue],
+        frames: Optional[np.ndarray],
+        hands: Sequence[list],
+        queues: Sequence[MemoryQueue],
         *,
         instruction_ids: Optional[np.ndarray] = None,
         instruction_values: Optional[np.ndarray] = None,
-    ) -> StepResult:
+    ) -> DecodedStep:
         """Encode inputs, run the memory layer and enqueue, decode.
 
-        Text enters either as ids (re-encoded on the tape; needed when
-        training) or as cached detached values (streaming inference).
-
-        A batch is a (B, R, R, 3) frame array, B hand lists, (B, L) ids
-        and one queue per frame. Frames run through the memory layer in
-        batch order, each enqueueing before the next attends, so frames
-        that share a queue see each other as consecutive steps would.
+        A batch is (B, R, R, 3) frames, B hand lists and one queue per
+        frame. Text enters either as (B, L) ids (re-encoded on the tape;
+        needed when training) or as cached detached (L, d) values shared
+        by the batch (streaming inference). Frames run through the memory
+        layer in batch order, each enqueueing before the next attends, so
+        frames that share a queue see each other as consecutive steps
+        would.
         """
         cfg = self.cfg
-        e_t, mask = self.encode_current(frame, hands)
+        e_t, mask = self.encode_current(frames, hands)
         aug = e_t
         if cfg.use_memory and e_t is not None:
-            if isinstance(queue, MemoryQueue):
-                aug = self._remember(queue, e_t, mask)
-            else:
-                aug = T.stack([self._remember(q, e_t[j], mask[j])
-                               for j, q in enumerate(queue)])
+            rows = []
+            for j, queue in enumerate(queues):
+                rows.append(self.memory.forward(queue, e_t[j], mask[j]))
+                queue.enqueue(e_t.value[j], mask[j])
+            aug = T.stack(rows)
 
         f_parts: list[Tensor] = []
         if cfg.use_text:
             if instruction_ids is not None:
                 f_parts.append(self.text(instruction_ids))
             elif instruction_values is not None:
-                f_parts.append(self.tape.constant(instruction_values))
+                shape = (len(hands),) + instruction_values.shape[-2:]
+                f_parts.append(self.tape.constant(np.broadcast_to(instruction_values, shape)))
             else:
                 raise UsageError("text enabled but no instruction given")
         if aug is not None:
             f_parts.append(aug)
         if not f_parts:
             raise UsageError("all modalities disabled; nothing to decode from")
-        f_me = f_parts[0] if len(f_parts) == 1 else T.concat(f_parts, axis=-2)
-        return StepResult(decoded=self.decode(f_me), f_me=f_me)
-
-    def _remember(self, queue: MemoryQueue, e_t: Tensor, mask: np.ndarray) -> Tensor:
-        """One frame's memory layer, then its tokens join the queue."""
-        aug = self.memory.forward(queue, e_t, mask)
-        queue.enqueue(e_t.value, mask)
-        return aug
+        return self.decode(f_parts[0] if len(f_parts) == 1 else T.concat(f_parts, axis=-2))
 
     # -- prediction -> hand states ---------------------------------------------
 
     def select_hands(self, decoded: DecodedStep) -> list[HandState]:
-        """At most one state per hand type: the query with the highest class
-        probability, emitted only when it clears ``confidence_threshold``.
-        Ties break to the lower query index. A non-finite head output
+        """One frame's hand states from its (Q, ·) heads, ``decoded.frame(j)``
+        of a batch. At most one state per hand type: the query with the
+        highest class probability, emitted only when it clears
+        ``confidence_threshold``. Ties break to the lower query index.
+        A non-finite head output
         raises ``NumericalError``: no comparison with NaN is true, so a NaN
         class score would otherwise pass unnoticed."""
         heads = {"type": decoded.type_logits.value, "box": decoded.boxes.value,
@@ -222,7 +210,7 @@ class ForecastModel:
             out.append(
                 HandState(
                     hand_type=hand_type,
-                    bbox=BBox(float(np.clip(cx, 0.0, 1.0)), float(np.clip(cy, 0.0, 1.0)), w, h),
+                    bbox=BBox(cx, cy, w, h),
                     pose=HandPose(pose[q].astype(np.float64)),
                     traj=Trajectory3D(float(t[0]), float(t[1]), float(t[2])),
                     visible=True,

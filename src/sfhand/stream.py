@@ -31,7 +31,7 @@ ORACLE = "oracle"
 class StepRecord:
     frame: np.ndarray
     hands_in: list[HandState]
-    outputs: np.ndarray  # decoded head values, stacked
+    outputs: np.ndarray  # the step's (Q, ·) head values, stacked
 
 
 @dataclass
@@ -70,17 +70,13 @@ class Session:
         tape = self.model.tape
         tape.reset()
         with tape.no_record():
-            res = self.model.forward_step(
-                frame,
-                hands_in,
-                self.queue,
+            decoded = self.model.forward_step(
+                frame[None], [hands_in], [self.queue],
                 instruction_values=self.instruction_values,
-            )
-        preds = self.model.select_hands(res.decoded)
+            ).frame(0)
+        preds = self.model.select_hands(decoded)
         if self.record:
-            self.trace.append(
-                StepRecord(frame, hands_in, res.decoded.stacked_values())
-            )
+            self.trace.append(StepRecord(frame, hands_in, decoded.stacked_values()))
         self.last_states = preds
         return preds
 
@@ -123,15 +119,13 @@ def batch_replay_check(model: ForecastModel, clip: ClipSample, mode: str = SELF_
             fresh = model.new_queue()
             if model.cfg.use_memory and model.cfg.memory_token_count():
                 for past in session.trace[max(0, t - n):t]:
-                    e_t, mask = model.encode_current(past.frame, past.hands_in)
-                    fresh.enqueue(e_t.value, mask)
-            res = model.forward_step(
-                rec.frame,
-                rec.hands_in,
-                fresh,
+                    e_t, mask = model.encode_current(past.frame[None], [past.hands_in])
+                    fresh.enqueue(e_t.value[0], mask[0])
+            decoded = model.forward_step(
+                rec.frame[None], [rec.hands_in], [fresh],
                 instruction_values=session.instruction_values,
             )
-            diff = np.abs(res.decoded.stacked_values() - rec.outputs)
+            diff = np.abs(decoded.stacked_values()[0] - rec.outputs)
             worst = max(worst, float(diff.max()) if diff.size else 0.0)
     return worst
 

@@ -268,15 +268,16 @@ def minimum(a, b) -> Tensor:
 # linear algebra and shape plumbing
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one record: x is (..., n, k), w is (k, m) and b is (m,)."""
+def affine(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """``x @ w + b`` as one record: x is (..., n, k), w is (k, m) and b is
+    (m,), or None for no bias."""
     tape = x.tape
-    w, b = _lift(tape, w), _lift(tape, b)
+    w = _lift(tape, w)
+    b = None if b is None else _lift(tape, b)
     xs, ws = x.value.shape, w.value.shape
-    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or b.value.shape != ws[1:]:
-        raise DimensionError(
-            f"affine expects (..., n, k) @ (k, m) + (m,), got {xs} @ {ws} + {b.value.shape}"
-        )
+    bs = ws[1:] if b is None else b.value.shape
+    if len(xs) < 2 or len(ws) != 2 or xs[-1] != ws[0] or bs != ws[1:]:
+        raise DimensionError(f"affine expects (..., n, k) @ (k, m) + (m,), got {xs} @ {ws} + {bs}")
 
     def bwd(g):
         # read the values here: a closure holding w.value would keep a
@@ -285,9 +286,11 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         rows = x.value.reshape(-1, ws[0])  # a batch stacks its rows
         g = g.reshape(-1, ws[1])
         _acc(w, rows.T @ g)
-        _acc(b, g.sum(axis=0))
+        if b is not None:
+            _acc(b, g.sum(axis=0))
 
-    return _record(tape, x.value @ w.value + b.value, bwd)
+    val = x.value @ w.value
+    return _record(tape, val if b is None else val + b.value, bwd)
 
 
 def _merge_heads(x: np.ndarray, d: int) -> np.ndarray:
@@ -459,7 +462,8 @@ def gelu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     x = a.value
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     s = s.astype(x.dtype, copy=False)
 
     def bwd(g):

@@ -3,11 +3,11 @@
 One optimizer update consumes the next ``cfg.batch`` frames of a stream
 of clip visits in shuffled epoch order; the memory queue rolls through a
 visit's frames, across update boundaries, and starts empty at each visit.
-The update's frames run as one batched forward (the memory layer steps
+The update's B frames run as one batched forward (the memory layer steps
 through them in order, so a visit boundary inside the batch starts a
-fresh queue), its loss is the mean of the per-frame losses, and one
-backward gives the update's gradients. Training is single-threaded and
-fully deterministic under a fixed seed.
+fresh queue) into one batched loss, the mean of the per-frame losses, and
+one backward gives the update's gradients. Training is single-threaded
+and fully deterministic under a fixed seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import tensor as T
 from .config import Config
 from .data import ClipSample
 from .encoders import tokenize_text
@@ -121,28 +120,25 @@ def _sample_inputs(model: ForecastModel, batch, hands: list, rng: np.random.Gene
                 hands[j] = last_pred
             q = copies.setdefault(id(queue), replace(queue, entries=list(queue.entries)))
             ids = tokenize_text(clip.instruction, model.cfg.text_len)
-            res = model.forward_step(clip.frames[i], hands[j], q, instruction_ids=ids)
-            last_pred = model.select_hands(res.decoded)
+            decoded = model.forward_step(clip.frames[i:i + 1], [hands[j]], [q],
+                                         instruction_ids=ids[None])
+            last_pred = model.select_hands(decoded.frame(0))
     return last_pred
 
 
 def batch_loss(model: ForecastModel, batch, hands: list):
     """One recorded forward over ``batch``, a list of (clip, frame index,
-    queue) whose frames take ``hands`` as input. Returns the mean of the
-    per-frame ``composite_loss`` values and the per-frame breakdowns."""
+    queue) whose frames take ``hands`` as input, into one ``composite_loss``
+    against each frame's next ground truth. Returns the loss, which is the
+    mean of the per-frame losses, and its breakdown."""
     cfg = model.cfg
-    res = model.forward_step(
+    decoded = model.forward_step(
         np.stack([clip.frames[i] for clip, i, _ in batch]), hands,
         [queue for _, _, queue in batch],
         instruction_ids=np.stack([tokenize_text(clip.instruction, cfg.text_len)
                                   for clip, _, _ in batch]),
     )
-    losses, breakdowns = [], []
-    for j, (clip, i, _) in enumerate(batch):
-        loss, breakdown, _ = composite_loss(res.decoded.frame(j), clip.gt[i + 1], cfg)
-        losses.append(loss)
-        breakdowns.append(breakdown)
-    return T.mean_(T.stack(losses)), breakdowns
+    return composite_loss(decoded, [clip.gt[i + 1] for clip, i, _ in batch], cfg)[:2]
 
 
 def train(model: ForecastModel, clips: list[ClipSample], *,
@@ -165,11 +161,9 @@ def train(model: ForecastModel, clips: list[ClipSample], *,
         if cfg.scheduled_sampling > 0:
             last_pred = _sample_inputs(model, batch, hands, sample_rng, last_pred)
         model.tape.reset()
-        loss, breakdowns = batch_loss(model, batch, hands)
-        rec = LossRecord(step=update + 1, **{
-            k: sum(b[k] for b in breakdowns) / cfg.batch
-            for k in ("total", "type", "box", "pose", "traj")})
-        _check_finite(rec.__dict__, update + 1)
+        loss, breakdown = batch_loss(model, batch, hands)
+        _check_finite(breakdown, update + 1)
+        rec = LossRecord(step=update + 1, **breakdown)
         optimizer.lr = lr_at(cfg, update, total_updates)
         optimizer.step(model.tape.backward(loss))
         records.append(rec)

@@ -103,29 +103,29 @@ class TestVisualEncoder:
 class TestHandEncoder:
     def test_both_invisible_gives_zero_tokens(self):
         m = ForecastModel(tiny_cfg(), seed=0)
-        out = m.hand([]).value
-        npt.assert_array_equal(out, np.zeros((2, 16)))
+        out = m.hand([[]]).value
+        npt.assert_array_equal(out, np.zeros((1, 2, 16)))
 
     def test_invisible_slot_zero_and_independent(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         left = state(HandType.LEFT)
-        base = m.hand([left]).value
+        base = m.hand([[left]]).value[0]
         npt.assert_array_equal(base[1], np.zeros(16))
         # change the (invisible) right slot content; left token must not move
-        with_ghost = m.hand([left, state(HandType.RIGHT, cx=0.9, visible=False)]).value
+        with_ghost = m.hand([[left, state(HandType.RIGHT, cx=0.9, visible=False)]]).value[0]
         npt.assert_allclose(with_ghost[0], base[0], atol=1e-12)
         npt.assert_array_equal(with_ghost[1], np.zeros(16))
 
     def test_duplicate_type_rejected(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         with pytest.raises(UsageError):
-            m.hand([state(HandType.LEFT), state(HandType.LEFT, cx=0.2)])
+            m.hand([[state(HandType.LEFT), state(HandType.LEFT, cx=0.2)]])
 
     def test_visible_hands_attend_each_other(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         left = state(HandType.LEFT)
-        solo = m.hand([left]).value
-        both = m.hand([left, state(HandType.RIGHT, cx=0.8)]).value
+        solo = m.hand([[left]]).value[0]
+        both = m.hand([[left, state(HandType.RIGHT, cx=0.8)]]).value[0]
         assert np.abs(both[0] - solo[0]).max() > 1e-9  # right now influences left
 
 

@@ -97,11 +97,12 @@ class TestHungarian:
 
 
 def make_decoded(tape, type_logits, boxes, pose, traj):
+    """One frame's (Q, ·) heads as a batch of one."""
     return DecodedStep(
-        type_logits=tape.constant(type_logits),
-        boxes=tape.constant(boxes),
-        pose=tape.constant(pose),
-        traj=tape.constant(traj),
+        type_logits=tape.constant(type_logits[None]),
+        boxes=tape.constant(boxes[None]),
+        pose=tape.constant(pose[None]),
+        traj=tape.constant(traj[None]),
     )
 
 
@@ -129,7 +130,8 @@ class TestMatchCost:
         boxes = np.tile(gt.bbox.as_array(), (3, 1))
         pose = np.zeros((3, 8))
         traj = np.tile(gt.traj.as_array(), (3, 1))
-        cost, _ = match_cost(make_decoded(tape, logits, boxes, pose, traj), [gt], cfg)
+        cost, _ = match_cost(make_decoded(tape, logits, boxes, pose, traj), [[gt]], cfg)
+        cost = cost[0]
         # the cost uses the loss's GIoU, whose 1e-9 division guard leaves
         # 1 - 0.04 / (0.04 + 1e-9) = 2.5e-8 on this 0.2 x 0.2 box
         want = cfg.lambda_box * (1 - 0.04 / (0.04 + 1e-9))
@@ -150,7 +152,7 @@ class TestMatchCost:
         costs = {}
         for dtype in ("float32", "float64"):
             decoded = make_decoded(T.Tape(dtype), logits, boxes, pose, traj)
-            costs[dtype], _ = match_cost(decoded, [gt], cfg)
+            costs[dtype] = match_cost(decoded, [[gt]], cfg)[0][0]
         assert costs["float64"][1, 0] < costs["float64"][0, 0]
         assert hungarian(costs["float64"]).pairs == ((1, 0),)
         assert costs["float32"][0, 0] == costs["float32"][1, 0]
@@ -165,7 +167,7 @@ class TestMatchCost:
         pose = np.full((1, 8), 0.25)
         traj = np.array([[0.0, 0.0, 0.0]])
         cost, _ = match_cost(
-            make_decoded(tape, logits.repeat(1, 0), boxes, pose, traj), [gt], cfg
+            make_decoded(tape, logits.repeat(1, 0), boxes, pose, traj), [[gt]], cfg
         )
         p = np.exp(logits[0]) / np.exp(logits[0]).sum()
         giou = rect_giou((0.5, 0.4, 0.7, 0.6), (0.4, 0.4, 0.6, 0.6))
@@ -175,7 +177,7 @@ class TestMatchCost:
             + cfg.lambda_pose * 0.25
             + cfg.lambda_traj * 10.0 / 100.0
         )
-        assert cost[0, 0] == pytest.approx(want, abs=1e-6)
+        assert cost[0, 0, 0] == pytest.approx(want, abs=1e-6)
 
     def test_cost_nonnegative_random(self):
         cfg = small_cfg()
@@ -190,7 +192,7 @@ class TestMatchCost:
                 rng.uniform(-80, 80, (3, 3)),
             )
             gts = [gt_state(HandType.LEFT), gt_state(HandType.RIGHT, cx=0.3)]
-            cost, _ = match_cost(decoded, gts, cfg)
+            cost, _ = match_cost(decoded, [gts], cfg)
             assert np.all(cost >= 0)
 
 
@@ -221,8 +223,8 @@ class TestCompositeLoss:
         boxes = np.stack([gts[0].bbox.as_array(), gts[1].bbox.as_array(), [0.5, 0.5, 0.1, 0.1]])
         pose = np.zeros((3, 8))
         traj = np.stack([gts[0].traj.as_array(), gts[1].traj.as_array(), [0, 0, 0]])
-        loss, breakdown, assign = composite_loss(
-            make_decoded(tape, logits, boxes, pose, traj), gts, cfg
+        loss, breakdown, (assign,) = composite_loss(
+            make_decoded(tape, logits, boxes, pose, traj), [gts], cfg
         )
         assert loss.item() == pytest.approx(0.0, abs=1e-6)
         assert set(assign.pairs) == {(0, 0), (1, 1)}
@@ -235,7 +237,7 @@ class TestCompositeLoss:
             tape, rng.normal(0, 1, (3, 3)), np.full((3, 4), 0.5), np.zeros((3, 8)),
             np.zeros((3, 3)),
         )
-        loss, breakdown, assign = composite_loss(decoded, [], cfg)
+        loss, breakdown, (assign,) = composite_loss(decoded, [[]], cfg)
         assert assign.pairs == ()
         assert breakdown["box"] == breakdown["pose"] == breakdown["traj"] == 0.0
         assert loss.item() == pytest.approx(breakdown["type"], abs=1e-9)
@@ -253,7 +255,7 @@ class TestCompositeLoss:
             gt_state(HandType.RIGHT, cx=0.6, theta=rng.normal(0, 1, 8), traj=(-15, 2, 60)),
         ]
         decoded = make_decoded(tape, logits, boxes, pose, traj)
-        loss, breakdown, assign = composite_loss(decoded, gts, cfg)
+        loss, breakdown, (assign,) = composite_loss(decoded, [gts], cfg)
 
         # independent step-by-step recomputation
         probs = np.exp(logits - logits.max(1, keepdims=True))
@@ -296,8 +298,8 @@ class TestCompositeLoss:
             tape, rng.normal(0, 2, (3, 3)), rng.uniform(0.2, 0.7, (3, 4)),
             rng.normal(0, 1, (3, 8)), rng.uniform(-50, 50, (3, 3)),
         )
-        l1, _, _ = composite_loss(decoded, gts, cfg)
-        l2, _, _ = composite_loss(decoded, list(reversed(gts)), cfg)
+        l1, _, _ = composite_loss(decoded, [gts], cfg)
+        l2, _, _ = composite_loss(decoded, [list(reversed(gts))], cfg)
         assert l1.item() == pytest.approx(l2.item(), abs=1e-12)
 
     def test_box_term_isolation(self):
@@ -313,10 +315,10 @@ class TestCompositeLoss:
         shifted = base_boxes.copy()
         shifted[0, 0] += 0.05
         l_base, b_base, _ = composite_loss(
-            make_decoded(tape, logits, base_boxes, pose, traj), [gt], cfg
+            make_decoded(tape, logits, base_boxes, pose, traj), [[gt]], cfg
         )
         l_shift, b_shift, _ = composite_loss(
-            make_decoded(tape, logits, shifted, pose, traj), [gt], cfg
+            make_decoded(tape, logits, shifted, pose, traj), [[gt]], cfg
         )
 
         def corners(b):
@@ -341,5 +343,62 @@ class TestCompositeLoss:
             tape, rng.normal(0, 1, (3, 3)), rng.uniform(0.3, 0.7, (3, 4)),
             rng.normal(0, 1, (3, 8)), rng.uniform(-50, 50, (3, 3)),
         )
-        _, breakdown, _ = composite_loss(decoded, [gt_state(HandType.LEFT)], cfg)
+        _, breakdown, _ = composite_loss(decoded, [[gt_state(HandType.LEFT)]], cfg)
         assert breakdown["traj"] == 0.0
+
+
+class TestBatchedLoss:
+    """One loss graph over a batch of frames with 0, 1 or 2 hands each."""
+
+    @staticmethod
+    def heads(rng, b_n, q_n=3):
+        return {"type_logits": rng.normal(0, 2, (b_n, q_n, 3)),
+                "boxes": rng.uniform(0.2, 0.8, (b_n, q_n, 4)),
+                "pose": rng.normal(0, 1, (b_n, q_n, 8)),
+                "traj": rng.uniform(-60, 60, (b_n, q_n, 3))}
+
+    def test_mixed_batch_equals_mean_of_single_frames(self):
+        cfg = small_cfg()
+        rng = np.random.default_rng(10)
+
+        def hand(hand_type, cx):
+            return gt_state(hand_type, cx=cx, theta=rng.normal(0, 1, 8),
+                            traj=tuple(rng.uniform(-40, 40, 3)))
+
+        left, right = HandType.LEFT, HandType.RIGHT
+        gts = [[], [hand(left, 0.4)], [hand(right, 0.7), hand(left, 0.3)],
+               [], [hand(right, 0.5)], [hand(left, 0.2), hand(right, 0.6)]]
+        values = self.heads(rng, len(gts))
+
+        def loss_at(heads, frames):
+            tape = T.Tape("float64")
+            decoded = DecodedStep(**{k: tape.parameter(k, v) for k, v in heads.items()})
+            loss, breakdown, assigns = composite_loss(decoded, frames, cfg)
+            return breakdown, assigns, tape.backward(loss)
+
+        breakdown, assigns, grads = loss_at(values, gts)
+        singles = [loss_at({k: v[b:b + 1] for k, v in values.items()}, [frame])
+                   for b, frame in enumerate(gts)]
+        for term in ("total", "type", "box", "pose", "traj"):
+            want = np.mean([s[0][term] for s in singles])
+            assert breakdown[term] == pytest.approx(want, rel=1e-12, abs=1e-15), term
+        assert assigns == [s[1][0] for s in singles]
+        assert [len(a.pairs) for a in assigns] == [0, 1, 2, 0, 1, 2]
+        for name in values:
+            want = np.concatenate([s[2][name] for s in singles]) / len(gts)
+            npt.assert_allclose(grads[name], want, rtol=0, atol=1e-12 * np.abs(want).max(),
+                                err_msg=name)
+
+    def test_loss_ops_do_not_grow_with_the_batch(self):
+        cfg = small_cfg()
+        rng = np.random.default_rng(11)
+        left, right = gt_state(HandType.LEFT, cx=0.3), gt_state(HandType.RIGHT, cx=0.7)
+        ops = []
+        for gts in ([[left]], [[], [right], [left, right], [], [left], [right, left], [], [left]]):
+            tape = T.Tape("float64")
+            decoded = DecodedStep(**{k: tape.constant(v)
+                                     for k, v in self.heads(rng, len(gts)).items()})
+            before = tape.ops
+            composite_loss(decoded, gts, cfg)
+            ops.append(tape.ops - before)
+        assert ops[0] == ops[1] > 0

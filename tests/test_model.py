@@ -26,80 +26,87 @@ def state(ht, cx=0.5, traj=(0, 0, 40.0)):
 
 
 def run_step(model, frame=None, hands=(), queue=None, **kw):
+    """One frame as a batch of one."""
     frame = np.zeros((model.cfg.raster, model.cfg.raster, 3)) if frame is None else frame
     queue = model.new_queue() if queue is None else queue
     ids = tokenize_text("grab the cup", model.cfg.text_len)
-    return model.forward_step(frame, list(hands), queue, instruction_ids=ids, **kw)
+    return model.forward_step(frame[None], [list(hands)], [queue], instruction_ids=ids[None],
+                              **kw)
+
+
+def decoded_token_shape(model, *args, **kw):
+    """The shape of the tokens that ``forward_step`` hands to ``decode``."""
+    seen = []
+    decode = model.decode
+    model.decode = lambda f_me: seen.append(f_me.value.shape) or decode(f_me)
+    model.forward_step(*args, **kw)
+    return seen[0]
 
 
 class TestDecode:
     def test_output_count_is_num_queries(self):
         m = ForecastModel(tiny_cfg(), seed=0)
-        res = run_step(m)
-        assert res.decoded.type_logits.value.shape == (4, 3)
-        assert res.decoded.boxes.value.shape == (4, 4)
-        assert res.decoded.pose.value.shape == (4, 6)
-        assert res.decoded.traj.value.shape == (4, 3)
+        decoded = run_step(m)
+        assert decoded.type_logits.value.shape == (1, 4, 3)
+        assert decoded.boxes.value.shape == (1, 4, 4)
+        assert decoded.pose.value.shape == (1, 4, 6)
+        assert decoded.traj.value.shape == (1, 4, 3)
 
     def test_boxes_sigmoid_bounded(self):
         m = ForecastModel(tiny_cfg(), seed=1)
-        res = run_step(m)
-        assert np.all(res.decoded.boxes.value > 0) and np.all(res.decoded.boxes.value < 1)
+        boxes = run_step(m).boxes.value
+        assert np.all(boxes > 0) and np.all(boxes < 1)
 
     def test_permuting_tokens_changes_outputs(self):
         # cross-attention keys carry positional additions, so content
         # permutation with positions held fixed must change predictions
         m = ForecastModel(tiny_cfg(), seed=2)
         rng = np.random.default_rng(0)
-        vals = rng.normal(0, 1, (10, 16))
+        vals = rng.normal(0, 1, (1, 10, 16))
         base = m.decode(m.tape.constant(vals)).stacked_values()
-        perm = np.roll(vals, 3, axis=0)
+        perm = np.roll(vals, 3, axis=1)
         moved = m.decode(m.tape.constant(perm)).stacked_values()
         assert np.abs(base - moved).max() > 1e-6
 
 
 class TestForwardStep:
     def test_token_counts_default_and_ablation(self):
+        frames, ids = np.zeros((1, 16, 16, 3)), tokenize_text("x", 8)[None]
         m = ForecastModel(tiny_cfg(), seed=0)
-        res = run_step(m)
-        assert res.f_me.value.shape == (8 + 4 + 2, 16)  # text + visual + hand
+        shape = decoded_token_shape(m, frames, [[]], [m.new_queue()], instruction_ids=ids)
+        assert shape == (1, 8 + 4 + 2, 16)  # text + visual + hand
 
         m2 = ForecastModel(tiny_cfg(use_text=False), seed=0)
-        res2 = m2.forward_step(np.zeros((16, 16, 3)), [], m2.new_queue())
-        assert res2.f_me.value.shape == (4 + 2, 16)
+        assert decoded_token_shape(m2, frames, [[]], [m2.new_queue()]) == (1, 4 + 2, 16)
 
         m3 = ForecastModel(tiny_cfg(use_hand=False), seed=0)
-        res3 = run_step(m3)
-        assert res3.f_me.value.shape == (8 + 4, 16)
+        shape = decoded_token_shape(m3, frames, [[]], [m3.new_queue()], instruction_ids=ids)
+        assert shape == (1, 8 + 4, 16)
 
         m4 = ForecastModel(tiny_cfg(use_video=False), seed=0)
-        res4 = m4.forward_step(None, [state(HandType.LEFT)], m4.new_queue(),
-                               instruction_ids=tokenize_text("x", 8))
-        assert res4.f_me.value.shape == (8 + 2, 16)
+        shape = decoded_token_shape(m4, None, [[state(HandType.LEFT)]], [m4.new_queue()],
+                                    instruction_ids=ids)
+        assert shape == (1, 8 + 2, 16)
 
     def test_default_config_f_me_is_82(self):
         m = ForecastModel(Config(decoder_layers=1, text_layers=1, hand_layers=1), seed=0)
-        res = m.forward_step(
-            np.zeros((64, 64, 3)), [], m.new_queue(),
-            instruction_ids=tokenize_text("x", 16),
-        )
-        assert res.f_me.value.shape == (82, 64)
+        shape = decoded_token_shape(m, np.zeros((1, 64, 64, 3)), [[]], [m.new_queue()],
+                                    instruction_ids=tokenize_text("x", 16)[None])
+        assert shape == (1, 82, 64)
 
     def test_identical_steps_differ_only_via_queue(self):
         m = ForecastModel(tiny_cfg(), seed=3)
         frame = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
         hands = [state(HandType.LEFT)]
         q = m.new_queue()
-        r1 = run_step(m, frame=frame, hands=hands, queue=q)
-        out1 = r1.decoded.stacked_values()
-        r2 = run_step(m, frame=frame, hands=hands, queue=q)
-        out2 = r2.decoded.stacked_values()
+        out1 = run_step(m, frame=frame, hands=hands, queue=q).stacked_values()
+        out2 = run_step(m, frame=frame, hands=hands, queue=q).stacked_values()
         assert np.abs(out1 - out2).max() > 0  # queue filled in between
 
         # on a fresh queue, the first step reproduces bitwise
         m.tape.reset()
-        r3 = run_step(m, frame=frame, hands=hands, queue=m.new_queue())
-        npt.assert_array_equal(r3.decoded.stacked_values(), out1)
+        out3 = run_step(m, frame=frame, hands=hands, queue=m.new_queue()).stacked_values()
+        npt.assert_array_equal(out3, out1)
 
     def test_enqueue_happens_after_attention(self):
         m = ForecastModel(tiny_cfg(), seed=4)
@@ -109,24 +116,24 @@ class TestForwardStep:
         run_step(m, frame=frame, hands=hands, queue=q)
         assert len(q) == 1
         # the enqueued entry is the pre-augmentation embedding and its mask
-        e_t, mask = m.encode_current(frame, hands)
-        npt.assert_array_equal(q.entries[0].embedding, e_t.value)
-        npt.assert_array_equal(q.entries[0].roi_mask, mask)
+        e_t, mask = m.encode_current(frame[None], [hands])
+        npt.assert_array_equal(q.entries[0].embedding, e_t.value[0])
+        npt.assert_array_equal(q.entries[0].roi_mask, mask[0])
 
     def test_text_required_when_enabled(self):
         m = ForecastModel(tiny_cfg(), seed=0)
         with pytest.raises(UsageError):
-            m.forward_step(np.zeros((16, 16, 3)), [], m.new_queue())
+            m.forward_step(np.zeros((1, 16, 16, 3)), [[]], [m.new_queue()])
 
     def test_cached_instruction_matches_fresh_encoding(self):
         m = ForecastModel(tiny_cfg(), seed=5)
         cached = m.encode_instruction("lift the lid")
-        frame = np.random.default_rng(2).uniform(0, 1, (16, 16, 3))
-        a = m.forward_step(frame, [], m.new_queue(),
-                           instruction_ids=tokenize_text("lift the lid", 8))
-        b = m.forward_step(frame, [], m.new_queue(), instruction_values=cached)
-        npt.assert_allclose(a.decoded.stacked_values(), b.decoded.stacked_values(),
-                            atol=1e-12)
+        frames = np.random.default_rng(2).uniform(0, 1, (2, 16, 16, 3))
+        a = m.forward_step(frames, [[], []], [m.new_queue(), m.new_queue()],
+                           instruction_ids=np.stack([tokenize_text("lift the lid", 8)] * 2))
+        b = m.forward_step(frames, [[], []], [m.new_queue(), m.new_queue()],
+                           instruction_values=cached)
+        npt.assert_allclose(a.stacked_values(), b.stacked_values(), atol=1e-12)
 
 
 class TestSelectHands:

@@ -40,10 +40,10 @@ def test_session_step_records_nothing_and_equals_a_recording_step():
         assert model.tape.nodes == params
         assert model.tape.ops > 0
         model.tape.reset()
-        res = model.forward_step(CLIP.frames[i], CLIP.gt[i], queue,
-                                 instruction_values=session.instruction_values)
+        decoded = model.forward_step(CLIP.frames[i:i + 1], [CLIP.gt[i]], [queue],
+                                     instruction_values=session.instruction_values)
         assert len(model.tape.nodes) == len(params) + model.tape.ops
-        np.testing.assert_array_equal(res.decoded.stacked_values(), session.trace[-1].outputs)
+        np.testing.assert_array_equal(decoded.stacked_values()[0], session.trace[-1].outputs)
 
 
 def test_bench_constant_cost_holds():

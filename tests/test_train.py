@@ -11,7 +11,6 @@ from sfhand.data import ClipSample, generate_synthetic
 from sfhand.encoders import tokenize_text
 from sfhand.errors import UsageError
 from sfhand.matching import composite_loss
-from sfhand.memory import MemoryQueue
 from sfhand.model import ForecastModel
 from sfhand.train import batch_loss, lr_at, train
 
@@ -119,12 +118,11 @@ def test_scheduled_sampling_feeds_the_previous_forecast():
     fed, forecasts = [], []
 
     def spy(frames, hands, queues, **kw):
-        res = step(frames, hands, queues, **kw)
-        if not isinstance(queues, MemoryQueue):  # the recorded batch
+        decoded = step(frames, hands, queues, **kw)
+        if model.tape.recording:  # the recorded batch
             fed.extend(hands)
-            forecasts.extend(model.select_hands(res.decoded.frame(j))
-                             for j in range(len(hands)))
-        return res
+            forecasts.extend(model.select_hands(decoded.frame(j)) for j in range(len(hands)))
+        return decoded
 
     model.forward_step = spy
     train(model, CLIPS, steps=3)
@@ -152,9 +150,9 @@ def test_batched_update_equals_mean_of_per_frame_steps(ablation):
     model = ForecastModel(cfg)
     primed = model.new_queue()
     with model.tape.no_record():
-        for i in range(3):
-            e_t, mask = model.encode_current(CLIPS[0].frames[i], CLIPS[0].gt[i])
-            primed.enqueue(e_t.value, mask)
+        e_t, mask = model.encode_current(CLIPS[0].frames[:3], CLIPS[0].gt[:3])
+    for i in range(3):
+        primed.enqueue(e_t.value[i], mask[i])
 
     def batch_with_fresh_queues():
         old, new = copy.deepcopy(primed), model.new_queue()
@@ -166,16 +164,17 @@ def test_batched_update_equals_mean_of_per_frame_steps(ablation):
     batched = loss.item(), model.tape.backward(loss)
 
     losses, grads = [], {}
-    for clip, i, queue in batch_with_fresh_queues():
+    for clip, i, queue in batch_with_fresh_queues():  # each frame as a batch of one
         model.tape.reset()
-        res = model.forward_step(clip.frames[i], list(clip.gt[i]), queue,
-                                 instruction_ids=tokenize_text(clip.instruction, cfg.text_len))
-        frame_loss = composite_loss(res.decoded, clip.gt[i + 1], cfg)[0]
+        ids = tokenize_text(clip.instruction, cfg.text_len)
+        decoded = model.forward_step(clip.frames[i:i + 1], [list(clip.gt[i])], [queue],
+                                     instruction_ids=ids[None])
+        frame_loss = composite_loss(decoded, [clip.gt[i + 1]], cfg)[0]
         losses.append(frame_loss.item())
         for name, g in model.tape.backward(frame_loss).items():
             grads[name] = grads.get(name, 0.0) + g / len(batch)
 
     assert batched[0] == pytest.approx(np.mean(losses), rel=1e-12)
-    largest = max(np.abs(g).max() for g in grads.values())
     for name, g in grads.items():
-        npt.assert_allclose(batched[1][name], g, rtol=0, atol=1e-12 * largest, err_msg=name)
+        npt.assert_allclose(batched[1][name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
+                            err_msg=name)
