@@ -81,15 +81,14 @@ class TextEncoder:
         ]
         self.ln_out = blocks.init_layernorm(tape, "text.ln_out", d)
 
-    def __call__(self, ids: np.ndarray, pad_mask: Optional[np.ndarray] = None) -> Tensor:
+    def __call__(self, ids: np.ndarray) -> Tensor:
         """(L,) token ids, or (B, L) for a batch."""
         ids = np.asarray(ids)
         if ids.ndim not in (1, 2) or ids.shape[-1] != self.cfg.text_len:
             raise DimensionError(f"expected {self.cfg.text_len} token ids, got {ids.shape}")
         if ids.dtype.kind not in "iu":
             raise UsageError("token ids must be integers")
-        if pad_mask is None:
-            pad_mask = (ids != PAD_ID).astype(np.float64)
+        pad_mask = (ids != PAD_ID).astype(np.float64)
         x = T.add(self.embed[ids], self.pos)
         for p in self.blocks:
             x = blocks.encoder_block(x, p, self.cfg.heads, key_mask=pad_mask)

@@ -60,10 +60,10 @@ def _softmax_np(x: np.ndarray) -> np.ndarray:
 class ForecastModel:
     """Encoders + memory layer + query decoder over one shared tape."""
 
-    def __init__(self, cfg: Config, seed: Optional[int] = None):
+    def __init__(self, cfg: Config):
         self.cfg = cfg
         self.tape = Tape(dtype=cfg.precision)
-        rng = np.random.default_rng(cfg.seed if seed is None else seed)
+        rng = np.random.default_rng(cfg.seed)
         self.text = TextEncoder(self.tape, cfg, rng)
         self.visual = VisualEncoder(self.tape, cfg, rng)
         self.hand = HandEncoder(self.tape, cfg, rng)

@@ -9,6 +9,13 @@ named parameter. The sweep frees each record as it passes it, so a
 training update holds its activations only until their gradients are
 taken, and a loss can be differentiated once.
 
+A tensor is a parameter, an op record, or a constant. A constant
+(``Tape.constant``, or an array or number an op is given) is a leaf that
+is never recorded and never differentiated. Only live tensors take
+gradients: parameters, and op records whose backward has not run yet.
+Every op skips the gradient of an operand that is not live, so a
+constant's ``grad`` stays None and its gradient is never computed.
+
 The transformer's two hot spots are one record each, with hand-written
 analytic backward rules: ``affine`` is ``x @ w + b``, and ``attend`` is a
 whole multi-head scaled dot-product attention (scores, bias, softmax,
@@ -19,9 +26,10 @@ the batch.
 
 Inside ``Tape.no_record()`` ops return plain value tensors: no backward
 rule is kept and no record is appended, so inference pays only for its
-arithmetic. ``Tape.backward`` rejects a tensor made there. ``Tape.ops``
-counts the ops since the last ``Tape.reset``, recorded or not, so the work
-per step stays visible either way.
+arithmetic; such a tensor is not live, and ``Tape.backward`` rejects it
+as a loss. ``Tape.ops`` counts the ops since the last ``Tape.reset``,
+recorded or not, so the work per step stays visible either way; a
+constant is not an op and is not counted.
 
 A tape is single-owner and single-threaded. ``Tape.reset`` drops the op
 records of the last step but keeps registered parameters alive, so one
@@ -85,7 +93,8 @@ class Tape:
         return t
 
     def constant(self, value) -> Tensor:
-        return _record(self, np.asarray(value, dtype=self.dtype), None)
+        """A leaf that is neither recorded nor counted, and takes no gradient."""
+        return Tensor(self, np.asarray(value, dtype=self.dtype))
 
     def reset(self) -> None:
         """Drop op records, keep parameters registered and their values."""
@@ -136,7 +145,7 @@ class Tape:
         while nodes:
             n = nodes.pop()
             if n.name is None:  # an op record; parameters keep their gradients
-                if n.grad is not None and n.bwd is not None:
+                if n.grad is not None:
                     n.bwd(n.grad)
                 n.bwd = n.grad = None
         return {
@@ -162,8 +171,15 @@ def _lift(tape: Tape, x) -> Tensor:
     return tape.constant(x)
 
 
+def _live(t: Tensor) -> bool:
+    """A parameter, or an op record whose backward has not run yet: the
+    only tensors a gradient flows into."""
+    return t.name is not None or t.bwd is not None
+
+
 def _acc(t: Tensor, g: np.ndarray) -> None:
-    t.grad = g if t.grad is None else t.grad + g
+    if _live(t):
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -182,52 +198,45 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # elementwise arithmetic
 
 
-def add(a, b) -> Tensor:
+def _operands(a, b) -> tuple[Tensor, Tensor]:
     tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _lift(tape, a), _lift(tape, b)
-    val = a.value + b.value
+    return _lift(tape, a), _lift(tape, b)
+
+
+def _broadcasting(a: Tensor, b: Tensor, val: np.ndarray, da, db) -> Tensor:
+    """Record an elementwise op of two operands under numpy broadcasting:
+    ``da(g)`` and ``db(g)`` are the gradients of ``a`` and ``b`` at the
+    broadcast shape, each summed back down to its operand's shape."""
 
     def bwd(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(g, b.value.shape))
+        if _live(a):
+            _acc(a, _unbroadcast(da(g), a.value.shape))
+        if _live(b):
+            _acc(b, _unbroadcast(db(g), b.value.shape))
 
-    return _record(tape, val, bwd)
+    return _record(a.tape, val, bwd)
+
+
+def add(a, b) -> Tensor:
+    a, b = _operands(a, b)
+    return _broadcasting(a, b, a.value + b.value, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _lift(tape, a), _lift(tape, b)
-    val = a.value - b.value
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g, a.value.shape))
-        _acc(b, _unbroadcast(-g, b.value.shape))
-
-    return _record(tape, val, bwd)
+    a, b = _operands(a, b)
+    return _broadcasting(a, b, a.value - b.value, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _lift(tape, a), _lift(tape, b)
-    val = a.value * b.value
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g * b.value, a.value.shape))
-        _acc(b, _unbroadcast(g * a.value, b.value.shape))
-
-    return _record(tape, val, bwd)
+    a, b = _operands(a, b)
+    return _broadcasting(a, b, a.value * b.value,
+                         lambda g: g * b.value, lambda g: g * a.value)
 
 
 def div(a, b) -> Tensor:
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _lift(tape, a), _lift(tape, b)
-    val = a.value / b.value
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g / b.value, a.value.shape))
-        _acc(b, _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape))
-
-    return _record(tape, val, bwd)
+    a, b = _operands(a, b)
+    return _broadcasting(a, b, a.value / b.value, lambda g: g / b.value,
+                         lambda g: -g * a.value / (b.value * b.value))
 
 
 def abs_(a: Tensor) -> Tensor:
@@ -241,27 +250,19 @@ def abs_(a: Tensor) -> Tensor:
 
 
 def maximum(a, b) -> Tensor:
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _lift(tape, a), _lift(tape, b)
-    awins = a.value >= b.value  # ties route to the first operand
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g * awins, a.value.shape))
-        _acc(b, _unbroadcast(g * ~awins, b.value.shape))
-
-    return _record(tape, np.maximum(a.value, b.value), bwd)
+    """Elementwise max; a tie routes the whole gradient to ``a``."""
+    a, b = _operands(a, b)
+    awins = a.value >= b.value
+    return _broadcasting(a, b, np.maximum(a.value, b.value),
+                         lambda g: g * awins, lambda g: g * ~awins)
 
 
 def minimum(a, b) -> Tensor:
-    tape = a.tape if isinstance(a, Tensor) else b.tape
-    a, b = _lift(tape, a), _lift(tape, b)
+    """Elementwise min; a tie routes the whole gradient to ``a``."""
+    a, b = _operands(a, b)
     awins = a.value <= b.value
-
-    def bwd(g):
-        _acc(a, _unbroadcast(g * awins, a.value.shape))
-        _acc(b, _unbroadcast(g * ~awins, b.value.shape))
-
-    return _record(tape, np.minimum(a.value, b.value), bwd)
+    return _broadcasting(a, b, np.minimum(a.value, b.value),
+                         lambda g: g * awins, lambda g: g * ~awins)
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +283,12 @@ def affine(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     def bwd(g):
         # read the values here: a closure holding w.value would keep a
         # parameter's old array alive after the optimizer replaces it
-        _acc(x, g @ w.value.T)
-        rows = x.value.reshape(-1, ws[0])  # a batch stacks its rows
+        if _live(x):
+            _acc(x, g @ w.value.T)
         g = g.reshape(-1, ws[1])
-        _acc(w, rows.T @ g)
-        if b is not None:
+        if _live(w):
+            _acc(w, x.value.reshape(-1, ws[0]).T @ g)  # a batch stacks its rows
+        if b is not None and _live(b):
             _acc(b, g.sum(axis=0))
 
     val = x.value @ w.value
@@ -312,21 +314,15 @@ def attend(q: Tensor, k, v, heads: int, bias=None) -> Tensor:
     max-shifted softmax, so a row of equal scores attends uniformly.
     Returns the merge of the head outputs, heads in column order.
 
-    ``k``, ``v`` and ``bias`` may each be a tensor or an array; an array is
-    a constant, with no record and no gradient. The backward is the
-    analytic softmax-attention gradient; the gradient of an operand is
-    summed over the axes it broadcast along.
+    ``k``, ``v`` and ``bias`` may each be a tensor or an array, which is
+    lifted to a constant. The backward is the analytic softmax-attention
+    gradient; the gradient of an operand is summed over the axes it
+    broadcast along.
     """
     tape = q.tape
-
-    def value(x):
-        if isinstance(x, Tensor):
-            if x.tape is not tape:
-                raise UsageError("operands live on different tapes")
-            return x.value
-        return np.asarray(x, dtype=tape.dtype)
-
-    kval, vval = value(k), value(v)
+    k, v = _lift(tape, k), _lift(tape, v)
+    bias = None if bias is None else _lift(tape, bias)
+    kval, vval = k.value, v.value
     qs, ks = q.value.shape, kval.shape
     if len(qs) < 2:
         raise DimensionError(f"attend expects (..., n, d) queries, got {qs}")
@@ -344,7 +340,7 @@ def attend(q: Tensor, k, v, heads: int, bias=None) -> Tensor:
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=tape.dtype)
     scores = (qh @ kh.swapaxes(-1, -2)) * scale
     if bias is not None:
-        scores = scores + value(bias)
+        scores = scores + bias.value
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     s = e / e.sum(axis=-1, keepdims=True)
     val = _merge_heads(s @ vh, d)
@@ -353,14 +349,15 @@ def attend(q: Tensor, k, v, heads: int, bias=None) -> Tensor:
         go = g.reshape(g.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
         gs = go @ vh.swapaxes(-1, -2)
         gscores = s * (gs - (gs * s).sum(axis=-1, keepdims=True))
-        if isinstance(bias, Tensor):
+        if bias is not None and _live(bias):
             _acc(bias, _unbroadcast(gscores, bias.value.shape))
         graw = gscores * scale
-        if isinstance(v, Tensor):
+        if _live(v):
             _acc(v, _unbroadcast(_merge_heads(s.swapaxes(-1, -2) @ go, d), ks))
-        if isinstance(k, Tensor):
+        if _live(k):
             _acc(k, _unbroadcast(_merge_heads(graw.swapaxes(-1, -2) @ qh, d), ks))
-        _acc(q, _unbroadcast(_merge_heads(graw @ kh, d), qs))
+        if _live(q):
+            _acc(q, _unbroadcast(_merge_heads(graw @ kh, d), qs))
 
     return _record(tape, val, bwd)
 
@@ -424,10 +421,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     val = a.value.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
-        if axis is None:
-            _acc(a, np.broadcast_to(g, a.value.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         _acc(a, np.broadcast_to(g, a.value.shape).copy())
 
@@ -522,5 +516,4 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     picked = slice_(ls, (np.arange(n), targets))
     if weights is None:
         return mul(sum_(picked), -1.0 / n)
-    w = np.asarray(weights, dtype=logits.tape.dtype)
-    return mul(sum_(mul(picked, logits.tape.constant(w))), -1.0 / n)
+    return mul(sum_(mul(picked, weights)), -1.0 / n)

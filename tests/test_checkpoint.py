@@ -20,7 +20,7 @@ TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
 
 def test_save_restore_save_byte_identical(tmp_path):
     cfg = Config(**TINY)
-    model = ForecastModel(cfg, seed=0)
+    model = ForecastModel(cfg)
     first = save_checkpoint(tmp_path / "a.ckpt", cfg, model.tape.param_values(), step=3)
     restored, step = restore_model(first)
     assert step == 3
@@ -92,7 +92,7 @@ def test_cli_eval_static_rejects_ablate(tmp_path, capsys):
 
 def _saved(tmp_path):
     cfg = Config(**TINY)
-    params = ForecastModel(cfg, seed=0).tape.param_values()
+    params = ForecastModel(cfg).tape.param_values()
     return save_checkpoint(tmp_path / "ok.ckpt", cfg, params, step=1), cfg, params
 
 
@@ -142,7 +142,7 @@ def test_cli_exit_codes_for_usage_data_and_numerical_failures(tmp_path):
 def test_cli_stream_exits_3_on_non_finite_head(tmp_path):
     data = _gen_clips(tmp_path, "reach")
     cfg = Config(**TINY)
-    params = ForecastModel(cfg, seed=0).tape.param_values()
+    params = ForecastModel(cfg).tape.param_values()
     params["decoder.head_type.b"] = np.full(3, np.nan, np.float32)
     ckpt = save_checkpoint(tmp_path / "nan.ckpt", cfg, params, step=1)
     with np.errstate(invalid="ignore"):

@@ -100,6 +100,29 @@ def test_min_max_at_generic_points():
     )
 
 
+@pytest.mark.parametrize("shape", ((3,), (1, 3), ()), ids=("row", "keepdims_row", "number"))
+@pytest.mark.parametrize("op", (T.add, T.sub, T.mul, T.div, T.maximum, T.minimum),
+                         ids=lambda op: op.__name__)
+def test_broadcasting_ops(op, shape):
+    # a (2, 3) operand against a (3,) or (1, 3) one or a Python number, on
+    # either side of the op. Magnitudes in [0.5, 2] keep div away from its
+    # pole, and values at least 1e-3 apart keep max and min off their ties.
+    rng = np.random.default_rng(12)
+    signed = lambda s: rng.uniform(0.5, 2.0, s) * rng.choice((-1.0, 1.0), s)  # noqa: E731
+    params = {"a": signed((2, 3))}
+    if shape:
+        params["b"] = signed(shape)
+    other = params.get("b", 1.7)
+    assert np.abs(params["a"] - other).min() > 1e-3
+    w1, w2 = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+
+    def build(tape, h):
+        b = h.get("b", 1.7)
+        return T.add(T.sum_(T.mul(op(h["a"], b), w1)), T.sum_(T.mul(op(b, h["a"]), w2)))
+
+    run(build, params, tol=1e-6)
+
+
 def test_layer_norm_and_embedding():
     rng = np.random.default_rng(5)
     ids = np.array([1, 3, 1])

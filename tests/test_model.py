@@ -45,7 +45,7 @@ def decoded_token_shape(model, *args, **kw):
 
 class TestDecode:
     def test_output_count_is_num_queries(self):
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         decoded = run_step(m)
         assert decoded.type_logits.value.shape == (1, 4, 3)
         assert decoded.boxes.value.shape == (1, 4, 4)
@@ -53,14 +53,14 @@ class TestDecode:
         assert decoded.traj.value.shape == (1, 4, 3)
 
     def test_boxes_sigmoid_bounded(self):
-        m = ForecastModel(tiny_cfg(), seed=1)
+        m = ForecastModel(tiny_cfg(seed=1))
         boxes = run_step(m).boxes.value
         assert np.all(boxes > 0) and np.all(boxes < 1)
 
     def test_permuting_tokens_changes_outputs(self):
         # cross-attention keys carry positional additions, so content
         # permutation with positions held fixed must change predictions
-        m = ForecastModel(tiny_cfg(), seed=2)
+        m = ForecastModel(tiny_cfg(seed=2))
         rng = np.random.default_rng(0)
         vals = rng.normal(0, 1, (1, 10, 16))
         base = m.decode(m.tape.constant(vals)).stacked_values()
@@ -72,30 +72,30 @@ class TestDecode:
 class TestForwardStep:
     def test_token_counts_default_and_ablation(self):
         frames, ids = np.zeros((1, 16, 16, 3)), tokenize_text("x", 8)[None]
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         shape = decoded_token_shape(m, frames, [[]], [m.new_queue()], instruction_ids=ids)
         assert shape == (1, 8 + 4 + 2, 16)  # text + visual + hand
 
-        m2 = ForecastModel(tiny_cfg(use_text=False), seed=0)
+        m2 = ForecastModel(tiny_cfg(use_text=False))
         assert decoded_token_shape(m2, frames, [[]], [m2.new_queue()]) == (1, 4 + 2, 16)
 
-        m3 = ForecastModel(tiny_cfg(use_hand=False), seed=0)
+        m3 = ForecastModel(tiny_cfg(use_hand=False))
         shape = decoded_token_shape(m3, frames, [[]], [m3.new_queue()], instruction_ids=ids)
         assert shape == (1, 8 + 4, 16)
 
-        m4 = ForecastModel(tiny_cfg(use_video=False), seed=0)
+        m4 = ForecastModel(tiny_cfg(use_video=False))
         shape = decoded_token_shape(m4, None, [[state(HandType.LEFT)]], [m4.new_queue()],
                                     instruction_ids=ids)
         assert shape == (1, 8 + 2, 16)
 
     def test_default_config_f_me_is_82(self):
-        m = ForecastModel(Config(decoder_layers=1, text_layers=1, hand_layers=1), seed=0)
+        m = ForecastModel(Config(decoder_layers=1, text_layers=1, hand_layers=1))
         shape = decoded_token_shape(m, np.zeros((1, 64, 64, 3)), [[]], [m.new_queue()],
                                     instruction_ids=tokenize_text("x", 16)[None])
         assert shape == (1, 82, 64)
 
     def test_identical_steps_differ_only_via_queue(self):
-        m = ForecastModel(tiny_cfg(), seed=3)
+        m = ForecastModel(tiny_cfg(seed=3))
         frame = np.random.default_rng(1).uniform(0, 1, (16, 16, 3))
         hands = [state(HandType.LEFT)]
         q = m.new_queue()
@@ -109,7 +109,7 @@ class TestForwardStep:
         npt.assert_array_equal(out3, out1)
 
     def test_enqueue_happens_after_attention(self):
-        m = ForecastModel(tiny_cfg(), seed=4)
+        m = ForecastModel(tiny_cfg(seed=4))
         q = m.new_queue()
         frame = np.random.default_rng(3).uniform(0, 1, (16, 16, 3))
         hands = [state(HandType.RIGHT)]
@@ -121,12 +121,12 @@ class TestForwardStep:
         npt.assert_array_equal(q.entries[0].roi_mask, mask[0])
 
     def test_text_required_when_enabled(self):
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         with pytest.raises(UsageError):
             m.forward_step(np.zeros((1, 16, 16, 3)), [[]], [m.new_queue()])
 
     def test_cached_instruction_matches_fresh_encoding(self):
-        m = ForecastModel(tiny_cfg(), seed=5)
+        m = ForecastModel(tiny_cfg(seed=5))
         cached = m.encode_instruction("lift the lid")
         frames = np.random.default_rng(2).uniform(0, 1, (2, 16, 16, 3))
         a = m.forward_step(frames, [[], []], [m.new_queue(), m.new_queue()],
@@ -147,12 +147,12 @@ class TestSelectHands:
         )
 
     def test_uniform_logits_give_no_hands(self):
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         decoded = self.make_decoded(m, np.zeros((4, 3)))
         assert m.select_hands(decoded) == []
 
     def test_strong_left_logit_gives_one_left(self):
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         logits = np.zeros((4, 3))
         logits[2, HandType.LEFT.value] = 10.0
         out = m.select_hands(decoded := self.make_decoded(m, logits))
@@ -161,7 +161,7 @@ class TestSelectHands:
         assert out[0].visible
 
     def test_two_strong_lefts_higher_prob_wins_then_lower_index(self):
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         logits = np.zeros((4, 3))
         logits[1, HandType.LEFT.value] = 8.0
         logits[3, HandType.LEFT.value] = 9.0
@@ -184,7 +184,7 @@ class TestSelectHands:
         assert out3[0].traj.x == pytest.approx(7.0)
 
     def test_never_two_states_of_same_type(self):
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         rng = np.random.default_rng(3)
         for _ in range(25):
             decoded = self.make_decoded(m, rng.normal(0, 4, (4, 3)))
@@ -193,7 +193,7 @@ class TestSelectHands:
             assert len(types) == len(set(types))
 
     def test_out_of_range_traj_clamped(self):
-        m = ForecastModel(tiny_cfg(), seed=0)
+        m = ForecastModel(tiny_cfg())
         logits = np.zeros((4, 3))
         logits[0, HandType.RIGHT.value] = 20.0
         decoded = self.make_decoded(m, logits)
@@ -205,7 +205,7 @@ class TestSelectHands:
     def test_non_finite_head_raises_numerical_error(self, head):
         # a NaN type head used to emit hands (no comparison with NaN is
         # true), and NaN box, pose or trajectory heads failed as usage errors
-        m = ForecastModel(tiny_cfg(confidence_threshold=0.0), seed=0)
+        m = ForecastModel(tiny_cfg(confidence_threshold=0.0))
         name = f"decoder.head_{head}.b"
         m.tape.set_param(name, np.full(m.tape.params[name].value.shape, np.nan))
         clip = generate_synthetic(1, "two_hands", 1, frames=3, raster=16, pose_dim=6)[0]

@@ -5,13 +5,16 @@ import pytest
 
 from sfhand.config import MEMORY_MODES, Config
 from sfhand.data import generate_synthetic
+from sfhand.memory import MemoryQueue
 from sfhand.model import ForecastModel
 from sfhand.stream import ORACLE, SELF_FEED, Session, batch_replay_check, bench
 from sfhand.tensor import Tape
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
             text_len=4, memory_size=2)
-CLIP = generate_synthetic(3, "two_hands", 1, frames=4, raster=16, pose_dim=6)[0]
+# 6 frames are 5 stream steps: with a queue of 2, the last two steps attend
+# to a queue that has evicted its oldest entries
+CLIP = generate_synthetic(3, "two_hands", 1, frames=6, raster=16, pose_dim=6)[0]
 
 CASES = [dict(memory_mode=mode) for mode in MEMORY_MODES] + [
     dict(use_memory=False), dict(use_text=False), dict(use_video=False),
@@ -28,6 +31,21 @@ def test_batch_replay_equals_stream_exactly(overrides, session_mode):
     # means the queue held something a fresh window would not.
     model = ForecastModel(Config(**TINY, **overrides))
     assert batch_replay_check(model, CLIP, mode=session_mode) == 0.0
+
+
+@pytest.mark.parametrize("session_mode", (SELF_FEED, ORACLE))
+def test_batch_replay_catches_a_queue_that_never_evicts(monkeypatch, session_mode):
+    # The replay window holds the last memory_size frames; a stream queue
+    # that keeps every entry differs from it from the first eviction on.
+    enqueue = MemoryQueue.enqueue
+
+    def never_evict(queue, embedding, mask):
+        queue.capacity += 1
+        enqueue(queue, embedding, mask)
+
+    monkeypatch.setattr(MemoryQueue, "enqueue", never_evict)
+    model = ForecastModel(Config(**TINY))
+    assert batch_replay_check(model, CLIP, mode=session_mode) > 0.0
 
 
 def test_session_step_records_nothing_and_equals_a_recording_step():

@@ -184,22 +184,31 @@ class TestAttend:
             npt.assert_allclose(got, per_head_attention(q, k, v, heads, bias), atol=1e-12)
 
     @pytest.mark.parametrize("dtype", ("float32", "float64"))
-    def test_array_keys_and_values_are_constants(self, dtype):
+    def test_array_keys_and_values_are_constants(self, dtype, monkeypatch):
         # the memory layer's call: array keys = values, a tensor alpha * mask bias
         rng = np.random.default_rng(9)
         q0, kv = rng.standard_normal((5, 8)), rng.standard_normal((12, 8))
         mask, w = rng.integers(0, 2, 12).astype(float), rng.standard_normal((5, 8))
-        grads, ops = [], []
+        lifted = []
+        lift = T._lift
+        monkeypatch.setattr(T, "_lift", lambda tape, x: lifted.append(x) or lift(tape, x))
+        grads, ops, nodes = [], [], []
         for keys_as_tensor in (True, False):
             tape = make_tape(dtype)
             q = tape.parameter("q", q0)
             alpha = tape.parameter("memory.alpha", np.asarray(0.7))
             keys = tape.constant(kv) if keys_as_tensor else kv.astype(dtype)
             bias = T.mul(alpha, tape.constant(mask))
+            lifted.clear()
             out = T.attend(q, keys, keys, 2, bias)
+            # an array goes through the same lift as every other op's operand
+            assert [x is keys for x in lifted] == [True, True, False]
             ops.append(tape.ops)
-            grads.append(tape.backward(T.sum_(T.mul(out, tape.constant(w)))))
-        assert ops[1] == ops[0] - 1  # no record for the array keys
+            nodes.append(len(tape.nodes))
+            grads.append(tape.backward(T.sum_(T.mul(out, w))))
+            if keys_as_tensor:
+                assert keys.grad is None
+        assert ops == [2, 2] and nodes == [4, 4]  # mul and attend; no record for keys
         for name in ("q", "memory.alpha"):
             npt.assert_array_equal(grads[1][name], grads[0][name])
 
@@ -317,14 +326,18 @@ class TestNoRecord:
     def test_values_without_records_and_ops_counted(self):
         tape = make_tape()
         p = tape.parameter("p", np.arange(3.0))
-        recorded = T.sum_(T.mul(p, tape.constant(2.0)))
-        assert tape.ops == 3 and len(tape.nodes) == 4
+        two = tape.constant(2.0)
+        assert tape.ops == 0 and tape.nodes == [p]  # a constant is a leaf, not an op
+        recorded = T.sum_(T.mul(p, two))
+        assert tape.ops == 2 and len(tape.nodes) == 3
+        npt.assert_array_equal(tape.backward(recorded)["p"], [2.0, 2.0, 2.0])
+        assert two.grad is None
         tape.reset()
         assert tape.ops == 0 and tape.nodes == [p]
         with tape.no_record():
             quiet = T.sum_(T.mul(p, tape.constant(2.0)))
         assert tape.nodes == [p]
-        assert tape.ops == 3
+        assert tape.ops == 2
         assert quiet.bwd is None
         npt.assert_array_equal(quiet.value, recorded.value)
 
@@ -406,6 +419,19 @@ class TestOpValues:
         b = tape.constant([3.0, 3.0, 3.0])
         npt.assert_array_equal(T.maximum(a, b).value, [3.0, 5.0, 3.0])
         npt.assert_array_equal(T.minimum(a, b).value, [1.0, 3.0, 2.0])
+
+    def test_min_max_ties_route_the_gradient_to_the_first_operand(self):
+        tape = make_tape()
+        a = tape.parameter("a", [1.0, 2.0, 3.0])
+        b = tape.parameter("b", [1.0, 0.0, 3.0])
+        for op, ga, gb in ((T.maximum, [1, 1, 1], [0, 0, 0]),
+                           (T.minimum, [1, 0, 1], [0, 1, 0])):
+            grads = tape.backward(T.sum_(op(a, b)))
+            npt.assert_array_equal(grads["a"], ga, err_msg=op.__name__)
+            npt.assert_array_equal(grads["b"], gb, err_msg=op.__name__)
+        # GIoU's maximum(x, 0.0) meets exact ties for disjoint boxes
+        x = tape.parameter("x", [0.0, -1.0, 1.0])
+        npt.assert_array_equal(tape.backward(T.sum_(T.maximum(x, 0.0)))["x"], [1, 0, 1])
 
     def test_cross_tape_mixing_rejected(self):
         t1, t2 = make_tape(), make_tape()
