@@ -2,7 +2,7 @@
 
 Values are numpy arrays in a configurable precision: float32 for training
 and streaming, float64 for gradient checks. Every operation is a pure
-function of immutable values that appends one record to the owning tape;
+function of its operands' values that appends one record to the owning tape;
 ``Tape.backward`` runs a single reversed sweep over the records (creation
 order is topological by construction) and returns gradients for every
 named parameter. The sweep frees each record as it passes it, so a
@@ -31,6 +31,13 @@ as a loss. ``Tape.ops`` counts the ops since the last ``Tape.reset``,
 recorded or not, so the work per step stays visible either way; a
 constant is not an op and is not counted.
 
+Parameters are the one mutable state. ``Tape.pack`` moves them into one
+flat buffer of the tape's dtype, in registration order, each parameter's
+value a C-contiguous view into it, so the optimizer updates all of them in
+place with a few whole-buffer passes. ``Tape.set_param`` writes into the
+existing array, packed or not. Anything that keeps a view of a parameter
+across an update sees the update.
+
 A tape is single-owner and single-threaded. ``Tape.reset`` drops the op
 records of the last step but keeps registered parameters alive, so one
 tape serves a whole training run.
@@ -49,7 +56,7 @@ _ALLOWED_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """One node of the tape: an immutable array plus its backward rule."""
+    """One node of the tape: an array plus its backward rule."""
 
     __slots__ = ("tape", "value", "bwd", "grad", "name")
 
@@ -79,6 +86,7 @@ class Tape:
         if self.dtype not in _ALLOWED_DTYPES:
             raise UsageError(f"unsupported dtype {dtype!r}; use float32 or float64")
         self.params: dict[str, Tensor] = {}
+        self.buffer: Optional[np.ndarray] = None  # every parameter's values, once packed
         self.nodes: list[Tensor] = []
         self.recording = True
         self.ops = 0  # ops since the last reset, recorded or not
@@ -86,6 +94,8 @@ class Tape:
     def parameter(self, name: str, value) -> Tensor:
         if name in self.params:
             raise UsageError(f"parameter {name!r} already registered")
+        if self.buffer is not None:
+            raise UsageError(f"parameter {name!r} registered after the tape was packed")
         arr = np.array(value, dtype=self.dtype, order="C")  # preserves 0-d
         t = Tensor(self, arr, name=name)
         self.params[name] = t
@@ -113,15 +123,31 @@ class Tape:
         finally:
             self.recording = previous
 
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        """Replace a parameter's value (optimizer step / checkpoint load)."""
+    def pack(self) -> np.ndarray:
+        """Move every parameter's values into one flat buffer, in
+        registration order, and make each value a view into it; returns
+        the buffer. Packing twice changes nothing."""
+        if self.buffer is None:
+            params = self.params.values()
+            self.buffer = np.empty(sum(p.value.size for p in params), dtype=self.dtype)
+            lo = 0
+            for p in params:
+                hi = lo + p.value.size
+                self.buffer[lo:hi] = p.value.reshape(-1)
+                p.value = self.buffer[lo:hi].reshape(p.value.shape)
+                lo = hi
+        return self.buffer
+
+    def set_param(self, name: str, value) -> None:
+        """Write new values into a parameter's array (checkpoint load);
+        the array itself, a view of the buffer once packed, is kept."""
         p = self.params[name]
-        arr = np.array(value, dtype=self.dtype, order="C")
+        arr = np.asarray(value)
         if arr.shape != p.value.shape:
             raise DimensionError(
                 f"parameter {name!r}: new shape {arr.shape} != {p.value.shape}"
             )
-        p.value = arr
+        p.value[...] = arr
 
     def param_values(self) -> dict[str, np.ndarray]:
         return {name: p.value for name, p in self.params.items()}
@@ -281,8 +307,8 @@ def affine(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
         raise DimensionError(f"affine expects (..., n, k) @ (k, m) + (m,), got {xs} @ {ws} + {bs}")
 
     def bwd(g):
-        # read the values here: a closure holding w.value would keep a
-        # parameter's old array alive after the optimizer replaces it
+        # w.value is the forward's weight only until the optimizer updates
+        # it in place, which it does after the backward
         if _live(x):
             _acc(x, g @ w.value.T)
         g = g.reshape(-1, ws[1])

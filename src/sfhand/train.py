@@ -41,39 +41,39 @@ class LossRecord:
 
 
 class AdamW:
-    """Adaptive moment estimation with decoupled weight decay.
-
-    Decay applies to matrices and tables only; vectors and scalars
-    (biases, norm gains, the memory bias scale) are exempt.
-    """
+    """Adaptive moments with decoupled weight decay, in place on the tape's
+    packed buffer (``Tape.pack``): moments in its dtype, one scratch array
+    for every temporary. Only matrices and tables decay; vectors and
+    scalars (biases, norm gains, the memory bias scale) are exempt."""
 
     def __init__(self, model: ForecastModel, lr: float, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.01):
-        self.model = model
-        self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.t = 0
-        params = model.tape.params
-        self.m = {k: np.zeros_like(p.value, dtype=np.float64) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.value, dtype=np.float64) for k, p in params.items()}
+        self.tape, self.lr, (self.b1, self.b2) = model.tape, lr, betas
+        self.eps, self.weight_decay, self.t = eps, weight_decay, 0
+        self.flat = self.tape.pack()
+        self.m, self.v, self.grad, self.scratch = (np.zeros_like(self.flat) for _ in range(4))
+        self.decay = np.concatenate([np.full(p.value.size, p.value.ndim >= 2)
+                                     for p in self.tape.params.values()])
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.b1**self.t
-        b2t = 1.0 - self.b2**self.t
-        tape = self.model.tape
-        for name, p in tape.params.items():
-            g = np.asarray(grads[name], dtype=np.float64)
-            self.m[name] = self.b1 * self.m[name] + (1 - self.b1) * g
-            self.v[name] = self.b2 * self.v[name] + (1 - self.b2) * g * g
-            mhat = self.m[name] / b1t
-            vhat = self.v[name] / b2t
-            new = p.value.astype(np.float64) - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-            if self.weight_decay > 0 and p.value.ndim >= 2:
-                new -= self.lr * self.weight_decay * p.value.astype(np.float64)
-            tape.set_param(name, new)
+        p, m, v, g, s = self.flat, self.m, self.v, self.grad, self.scratch
+        np.concatenate([grads[name].reshape(-1) for name in self.tape.params], out=g)
+        np.multiply(g, g, out=s)
+        s *= 1 - self.b2
+        v *= self.b2
+        v += s
+        g *= 1 - self.b1
+        m *= self.b1
+        m += g
+        np.multiply(p, 1.0 - self.lr * self.weight_decay, out=p, where=self.decay)
+        # lr * mhat / (sqrt(vhat) + eps), the bias corrections folded into two scalars
+        c2 = (1.0 - self.b2**self.t) ** 0.5
+        np.sqrt(v, out=s)
+        s += self.eps * c2
+        np.divide(m, s, out=s)
+        s *= self.lr * c2 / (1.0 - self.b1**self.t)
+        p -= s
 
 
 def _check_finite(breakdown: dict, update: int) -> None:
@@ -93,7 +93,7 @@ def lr_at(cfg: Config, update: int, total: int) -> float:
         return cfg.learning_rate * (update + 1) / warmup
     frac = (update - warmup) / max(1, total - warmup)
     floor = 0.02
-    return cfg.learning_rate * (floor + (1 - floor) * 0.5 * (1 + np.cos(np.pi * frac)))
+    return float(cfg.learning_rate * (floor + (1 - floor) * 0.5 * (1 + np.cos(np.pi * frac))))
 
 
 def _frames(model: ForecastModel, clips: list[ClipSample], rng: np.random.Generator):

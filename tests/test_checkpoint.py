@@ -11,8 +11,10 @@ import pytest
 from sfhand.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from sfhand.cli import ABLATIONS, main
 from sfhand.config import Config
+from sfhand.data import generate_synthetic
 from sfhand.errors import DataFormatError, TruncationError, VersionError
 from sfhand.model import ForecastModel
+from sfhand.train import train
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
             text_len=4, memory_size=2)
@@ -27,6 +29,22 @@ def test_save_restore_save_byte_identical(tmp_path):
     second = save_checkpoint(tmp_path / "b.ckpt", restored.cfg,
                              restored.tape.param_values(), step=step)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_trained_packed_model_round_trips_byte_identical(tmp_path):
+    cfg = Config(**TINY, batch=2)
+    model = ForecastModel(cfg)
+    train(model, generate_synthetic(3, "reach", 1, frames=4, raster=16, pose_dim=6), steps=2)
+    alpha = model.tape.params["memory.alpha"].value
+    assert np.shares_memory(alpha, model.tape.buffer) and alpha != 1.0
+    first = save_checkpoint(tmp_path / "a.ckpt", cfg, model.tape.param_values(), step=2)
+    restored, step = restore_model(first)
+    assert restored.tape.params["memory.alpha"].value.shape == () and step == 2
+    second = save_checkpoint(tmp_path / "b.ckpt", restored.cfg,
+                             restored.tape.param_values(), step=step)
+    assert first.read_bytes() == second.read_bytes()
+    for name, p in model.tape.params.items():
+        np.testing.assert_array_equal(restored.tape.params[name].value, p.value)
 
 
 def _gen_clips(tmp_path, scenario):

@@ -1,7 +1,5 @@
 """Tape op unit tests: frozen examples plus independent oracles."""
 
-import weakref
-
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -106,14 +104,19 @@ class TestMatmul:
         npt.assert_allclose(grads["b"], gout.sum(axis=(0, 1)), atol=1e-12)
 
     def test_replaced_weight_is_not_kept_alive(self):
-        # the optimizer replaces parameter arrays while the last step's
-        # records are still on the tape; they must not pin the old arrays
+        # set_param writes into the parameter's own array, so no old array
+        # is left for the last step's records to hold, and affine's
+        # backward reads the weight the parameter has when it runs
         tape = make_tape()
         w = tape.parameter("w", np.ones((3, 2)))
         T.affine(tape.constant(np.ones((4, 3))), w, tape.parameter("b", np.zeros(2)))
-        old = weakref.ref(w.value)
-        tape.set_param("w", np.zeros((3, 2)))
-        assert old() is None
+        array = w.value
+        tape.set_param("w", np.arange(6.0).reshape(3, 2))
+        assert w.value is array
+        npt.assert_array_equal(w.value, np.arange(6.0).reshape(3, 2))
+        with pytest.raises(DimensionError):
+            tape.set_param("w", np.zeros((2, 3)))
+        assert w.value is array
 
     def test_precision_follows_the_tape(self):
         for dtype in ("float32", "float64"):
@@ -353,6 +356,56 @@ class TestNoRecord:
                 pass
             assert not tape.recording
         assert tape.recording
+
+
+class TestPack:
+    def make_packed(self, dtype="float32"):
+        tape = make_tape(dtype)
+        values = {"w": np.arange(6.0).reshape(2, 3), "b": np.array([7.0, 8.0]),
+                  "alpha": np.asarray(9.0), "t": np.arange(10.0, 14.0).reshape(2, 1, 2)}
+        params = [tape.parameter(name, v) for name, v in values.items()]
+        return tape, params, values
+
+    def test_values_are_views_of_one_buffer_in_registration_order(self):
+        for dtype in ("float32", "float64"):
+            tape, params, values = self.make_packed(dtype)
+            buf = tape.pack()
+            assert tape.buffer is buf and buf.dtype == np.dtype(dtype) and buf.ndim == 1
+            npt.assert_array_equal(buf, np.concatenate([v.ravel() for v in values.values()]))
+            lo = 0
+            for p, (name, v) in zip(params, values.items()):
+                assert p.value.shape == v.shape and p.value.flags.c_contiguous
+                assert p.value.ctypes.data == buf.ctypes.data + lo * buf.itemsize
+                npt.assert_array_equal(p.value, v)
+                lo += p.value.size
+            assert lo == buf.size
+
+    def test_parameter_after_packing_raises(self):
+        tape, _, _ = self.make_packed()
+        tape.pack()
+        with pytest.raises(UsageError):
+            tape.parameter("late", np.ones(2))
+
+    def test_set_param_writes_into_the_buffer(self):
+        tape, params, _ = self.make_packed()
+        buf = tape.pack()
+        tape.set_param("b", [-1.0, -2.0])
+        tape.set_param("alpha", 0.5)
+        npt.assert_array_equal(buf[6:9], [-1.0, -2.0, 0.5])
+        assert params[2].value.shape == ()
+
+    def test_gradients_are_unchanged_by_packing(self):
+        grads = []
+        for pack in (False, True):
+            tape, params, _ = self.make_packed("float64")
+            if pack:
+                tape.pack()
+            w, b, alpha, t = params
+            out = T.add(T.affine(T.reshape(t, (2, 2)), T.slice_(w, (slice(None), slice(0, 2))), b),
+                        alpha)
+            grads.append(tape.backward(T.sum_(T.mul(out, out))))
+        for name in grads[0]:
+            npt.assert_array_equal(grads[0][name], grads[1][name])
 
 
 class TestOpValues:

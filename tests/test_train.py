@@ -12,7 +12,8 @@ from sfhand.encoders import tokenize_text
 from sfhand.errors import UsageError
 from sfhand.matching import composite_loss
 from sfhand.model import ForecastModel
-from sfhand.train import batch_loss, lr_at, train
+from sfhand.stream import ORACLE, Session
+from sfhand.train import AdamW, batch_loss, lr_at, train
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8, text_len=4,
             memory_size=8, text_layers=1, hand_layers=1, decoder_layers=1, batch=4)
@@ -178,3 +179,102 @@ def test_batched_update_equals_mean_of_per_frame_steps(ablation):
     for name, g in grads.items():
         npt.assert_allclose(batched[1][name], g, rtol=0, atol=1e-12 * np.abs(g).max(),
                             err_msg=name)
+
+
+def reference_adamw(values, grad_steps, lrs, wd, b1=0.9, b2=0.999, eps=1e-8):
+    """AdamW one parameter at a time in float64, each update stored back in
+    the parameter's dtype: bias-corrected moments, and decay only on
+    matrices and tables (ndim >= 2)."""
+    m = {k: np.zeros(p.shape) for k, p in values.items()}
+    v = {k: np.zeros(p.shape) for k, p in values.items()}
+    values = dict(values)
+    for t, (grads, lr) in enumerate(zip(grad_steps, lrs), start=1):
+        for k, p in values.items():
+            g = grads[k].astype(np.float64)
+            m[k] = b1 * m[k] + (1 - b1) * g
+            v[k] = b2 * v[k] + (1 - b2) * g * g
+            mhat = m[k] / (1 - b1**t)
+            vhat = v[k] / (1 - b2**t)
+            new = p.astype(np.float64) - lr * mhat / (np.sqrt(vhat) + eps)
+            if wd > 0 and p.ndim >= 2:
+                new -= lr * wd * p.astype(np.float64)
+            values[k] = new.astype(p.dtype)
+    return values
+
+
+# float32 moments and arithmetic against the float64 formula: 4 float32
+# ulps at the largest |parameter| (about 1.2); 2 ulps, 2.4e-7, measured
+@pytest.mark.parametrize("precision, atol", [("float64", 1e-12), ("float32", 5e-7)])
+def test_adamw_matches_the_per_parameter_float64_formula(precision, atol):
+    model = ForecastModel(Config(**TINY, precision=precision))
+    params = model.tape.params
+    start = {k: p.value.copy() for k, p in params.items()}
+    rng = np.random.default_rng(5)
+    lrs = (1e-3, 3e-3, 2e-3, 5e-4, 1e-3)
+    # each parameter's gradients at its own scale, 1e-4 to 1e-1
+    grad_steps = [{k: (rng.standard_normal(p.shape) * 10.0 ** -rng.integers(1, 5)).astype(p.dtype)
+                   for k, p in start.items()} for _ in lrs]
+    optimizer = AdamW(model, lr=lrs[0], weight_decay=0.1)
+    for grads, lr in zip(grad_steps, lrs):
+        optimizer.lr = lr
+        optimizer.step(grads)
+    assert optimizer.m.dtype == optimizer.v.dtype == np.dtype(precision)
+    want = reference_adamw(start, grad_steps, lrs, wd=0.1)
+    for name, p in params.items():
+        assert p.value.dtype == np.dtype(precision)
+        npt.assert_allclose(p.value, want[name], rtol=0, atol=atol, err_msg=name)
+
+
+def test_adamw_never_decays_vectors_or_scalars():
+    model = ForecastModel(Config(**TINY, precision="float64"))
+    params = model.tape.params
+    start = {k: p.value.copy() for k, p in params.items()}
+    assert {p.ndim for p in start.values()} == {0, 1, 2}
+    assert start["memory.alpha"].ndim == 0
+    optimizer = AdamW(model, lr=0.1, weight_decay=0.5)
+    for _ in range(3):  # zero gradients: decay is the only change
+        optimizer.step({k: np.zeros_like(p) for k, p in start.items()})
+    for name, p in params.items():
+        if p.value.ndim >= 2:
+            npt.assert_allclose(p.value, start[name] * 0.95**3, rtol=1e-14, err_msg=name)
+        else:
+            npt.assert_array_equal(p.value, start[name], err_msg=name)
+
+
+def test_train_twice_repacks_nothing():
+    model = ForecastModel(Config(**TINY))
+    params = model.tape.params.values()
+    train(model, CLIPS, steps=1)
+    buf, arrays = model.tape.buffer, [p.value for p in params]
+    before = buf.copy()
+    train(model, CLIPS, steps=1)
+    assert model.tape.buffer is buf
+    assert all(p.value is a for p, a in zip(params, arrays))
+    assert not np.array_equal(buf, before)
+
+
+def test_nothing_kept_across_an_update_aliases_the_buffer():
+    # the optimizer updates the buffer in place, so a view of it kept
+    # across an update would silently change; with the memory bias off,
+    # memory.alpha takes no gradient and backward fills in its zeros
+    model = ForecastModel(Config(**TINY, memory_mode="off"))
+    queues, grads = [], []
+    new_queue, backward = model.new_queue, model.tape.backward
+
+    def queue_spy():
+        queues.append(new_queue())
+        return queues[-1]
+
+    def backward_spy(loss):
+        grads.append(backward(loss))
+        return grads[-1]
+
+    model.new_queue, model.tape.backward = queue_spy, backward_spy
+    session = Session(model, CLIPS[0].instruction, mode=ORACLE)
+    session.step(CLIPS[0].frames[0], CLIPS[0].gt[0])
+    train(model, CLIPS, steps=1)
+    kept = [session.instruction_values, *grads[0].values()]
+    kept += [a for q in queues for e in q.entries for a in (e.embedding, e.roi_mask)]
+    assert len(grads) == 1 and len(kept) > 1 + len(grads[0])
+    buf = model.tape.buffer
+    assert all(not np.shares_memory(a, buf) for a in kept)
