@@ -260,9 +260,11 @@ def generate_synthetic(seed: int, scenario: str, count: int, *, frames: int = 16
     for idx in range(count):
         rng = Xorshift64Star(derive_seed(seed, idx))
         scripts = _make_scripts(rng, scenario, pose_dim)
-        background = np.array(
-            [rng.uniform(0.0, 0.35) for _ in range(raster * raster * 3)], dtype=np.float32
-        ).reshape(raster, raster, 3)
+        background = (
+            rng.uniforms(0.0, 0.35, raster * raster * 3)
+            .astype(np.float32)
+            .reshape(raster, raster, 3)
+        )
         frames_arr = np.empty((frames, raster, raster, 3), dtype=np.float32)
         gt, gtj = [], []
         for f in range(frames):

@@ -175,13 +175,10 @@ def _build_rig(pose_dim: int):
     """
     rng = Xorshift64Star(RIG_SEED)
     rest = np.zeros((NUM_JOINTS, 3))
-    for j in range(1, NUM_JOINTS):
-        for k in range(3):
-            rest[j, k] = rng.uniform(-5.0, 5.0)
+    rest[1:] = rng.uniforms(-5.0, 5.0, (NUM_JOINTS - 1) * 3).reshape(NUM_JOINTS - 1, 3)
     basis = np.zeros((NUM_JOINTS * 3, pose_dim))
-    for r in range(3, NUM_JOINTS * 3):  # first 3 rows (wrist) stay zero
-        for c in range(pose_dim):
-            basis[r, c] = rng.uniform(-1.0, 1.0)
+    # the first 3 rows (wrist) stay zero
+    basis[3:] = rng.uniforms(-1.0, 1.0, (NUM_JOINTS * 3 - 3) * pose_dim).reshape(-1, pose_dim)
     row_sums = np.abs(basis).sum(axis=1)
     max_row = row_sums.max()
     if max_row > 0:

@@ -427,13 +427,27 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     return _record(tape, np.stack([t.value for t in tensors]), bwd)
 
 
+def _is_basic_key(key) -> bool:
+    """True for a basic index (ints, slices, Ellipsis, None), which selects
+    no element twice; arrays, lists and booleans make it advanced."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(
+        k is None or k is Ellipsis or isinstance(k, slice)
+        or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+        for k in parts
+    )
+
+
 def slice_(a: Tensor, key) -> Tensor:
     """Numpy-style indexing; gradients scatter-add back into place."""
     val = a.value[key]
 
     def bwd(g):
         full = np.zeros_like(a.value)
-        np.add.at(full, key, g)
+        if _is_basic_key(key):
+            full[key] += g  # no element repeats: the same 0.0 + g as np.add.at
+        else:
+            np.add.at(full, key, g)
         _acc(a, full)
 
     return _record(a.tape, val, bwd)

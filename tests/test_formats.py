@@ -10,10 +10,13 @@ import struct
 import zlib
 
 import numpy as np
+import pytest
 
+from sfhand import data
 from sfhand.checkpoint import load_checkpoint, save_checkpoint
 from sfhand.config import Config
 from sfhand.data import generate_synthetic, write_clipfile
+from sfhand.harness import build_benchmark
 from sfhand.rng import Xorshift64Star, derive_seed, splitmix64
 
 M = (1 << 64) - 1
@@ -57,6 +60,31 @@ def test_uniform_and_randint_follow_the_documented_formulas():
     n = 7
     accepted = [u % n for u in raw[100:] if u <= M - (1 << 64) % n]
     assert [r.randint(n) for _ in range(50)] == accepted[:50]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 7, derive_seed(7, 3)])
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 192, 12288, 12289])
+def test_uniforms_block_equals_successive_uniform_calls(seed, n):
+    bounds = [(0.0, 0.35), (np.linspace(-3.0, 0.0, n), np.full(n, 2.5))]
+    for lo, hi in bounds:
+        block, calls = Xorshift64Star(seed), Xorshift64Star(seed)
+        got = block.uniforms(lo, hi, n)
+        los, his = np.broadcast_to(lo, (n,)), np.broadcast_to(hi, (n,))
+        want = np.array([calls.uniform(float(a), float(b)) for a, b in zip(los, his)],
+                        dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert block.next_u64() == calls.next_u64()
+
+
+def test_benchmark_golden_segments():
+    """Every clip of the raster-64 benchmark, which also pins the pose-48 rig."""
+    train, held = build_benchmark(0, raster=64)
+    digest = hashlib.sha256()
+    for clip in train + held:
+        digest.update(data._clip_segment(clip, 48))
+    assert digest.hexdigest() == (
+        "8d5252705de49e90cd815557884a1c1e3c89456687befd6579766014856967b1")
 
 
 def test_clipfile_golden_bytes(tmp_path):

@@ -490,3 +490,42 @@ class TestOpValues:
         t1, t2 = make_tape(), make_tape()
         with pytest.raises(UsageError):
             T.add(t1.constant(1.0), t2.constant(1.0))
+
+
+_IDX = np.array([3, 0, 3])
+
+
+class TestSliceBackward:
+    """Basic keys accumulate by assignment, advanced keys by np.add.at; both
+    must give the gradient np.add.at gives, bit for bit."""
+
+    @pytest.mark.parametrize("key, basic", [
+        (2, True),
+        (np.int64(-1), True),
+        (slice(1, 3), True),
+        ((slice(None), 2), True),
+        ((Ellipsis, 1), True),
+        ((None, slice(0, 2)), True),
+        ((1, None, slice(None, None, -2)), True),
+        ((), True),
+        (_IDX, False),
+        ([1, 1, 2], False),
+        ((np.arange(3), np.array([0, 2, 0])), False),
+        ((np.array([0, 0, 0]), np.array([1, 1, 1])), False),
+        (np.array([True, False, True, True]), False),
+        (True, False),
+    ])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_gradient_equals_add_at_reference(self, key, basic, dtype):
+        assert T._is_basic_key(key) == basic
+        tape = make_tape(dtype)
+        x = tape.parameter("x", np.arange(12.0).reshape(4, 3))
+        out = x[key]
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal(out.value.shape).astype(dtype)
+        w.flat[0] = -0.0  # 0.0 + -0.0 is +0.0 either way
+        want = np.zeros((4, 3), dtype=dtype)
+        np.add.at(want, key, w)
+        got = tape.backward(T.sum_(T.mul(out, tape.constant(w))))["x"]
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
