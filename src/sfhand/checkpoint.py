@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import Config
-from .errors import DataFormatError, TruncationError, VersionError
+from .errors import DataFormatError, TruncationError, UsageError, VersionError
 from .model import ForecastModel
 
 MAGIC = b"SFHD"
@@ -83,19 +83,22 @@ def load_checkpoint(path) -> tuple[Config, dict[str, np.ndarray], int]:
             f"unsupported checkpoint version {version}; this build reads {VERSION}"
         )
     (cfg_len,) = r.unpack("<I")
-    cfg = Config.from_json(r.take(cfg_len).decode("utf-8"))
-    (n_params,) = r.unpack("<I")
-    params: dict[str, np.ndarray] = {}
-    for _ in range(n_params):
-        (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
-        code, ndim = r.unpack("<BB")
-        if code not in _DTYPES:
-            raise DataFormatError(f"unknown dtype code {code} for parameter {name!r}")
-        shape = r.unpack(f"<{ndim}I") if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
-        raw = r.take(count * _DTYPES[code].itemsize)
-        params[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape).copy()
+    try:  # a stored config or name that fails to decode, parse or validate
+        cfg = Config.from_json(r.take(cfg_len).decode("utf-8"))
+        (n_params,) = r.unpack("<I")
+        params: dict[str, np.ndarray] = {}
+        for _ in range(n_params):
+            (name_len,) = r.unpack("<H")
+            name = r.take(name_len).decode("utf-8")
+            code, ndim = r.unpack("<BB")
+            if code not in _DTYPES:
+                raise DataFormatError(f"unknown dtype code {code} for parameter {name!r}")
+            shape = r.unpack(f"<{ndim}I") if ndim else ()
+            count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+            raw = r.take(count * _DTYPES[code].itemsize)
+            params[name] = np.frombuffer(raw, dtype=_DTYPES[code]).reshape(shape).copy()
+    except (UnicodeDecodeError, UsageError) as e:
+        raise DataFormatError(f"checkpoint {path}: {e}") from e
     if r.off != len(buf):
         raise DataFormatError(f"checkpoint {path} has {len(buf) - r.off} trailing bytes")
     return cfg, params, step

@@ -63,8 +63,10 @@ def _config_from_args(args) -> Config:
             base = json.loads(Path(args.config).read_text())
         except OSError as e:
             raise DataFormatError(f"cannot read config {args.config}: {e}") from e
-        except json.JSONDecodeError as e:
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise DataFormatError(f"config {args.config} is not valid JSON: {e}") from e
+        if not isinstance(base, dict):
+            raise DataFormatError(f"config {args.config} is not a JSON object")
     for f in dataclasses.fields(Config):
         v = getattr(args, f.name, None)
         if v is not None:

@@ -13,6 +13,9 @@ KEY_BROADCAST = "key_broadcast"
 OFF = "off"
 MEMORY_MODES = (KEY_BROADCAST, OFF)
 
+# the values each field annotation admits; a bool is never a number here
+_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
 
 @dataclass(frozen=True)
 class Config:
@@ -55,6 +58,10 @@ class Config:
         self.validate()
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, _TYPES[f.type]):
+                raise UsageError(f"config field {f.name!r} must be a {f.type}, got {v!r}")
         positive = (
             "d heads text_layers hand_layers decoder_layers pose_dim memory_size "
             "num_queries raster patch text_len mlp_ratio memory_heads batch"
@@ -83,6 +90,8 @@ class Config:
             raise UsageError("precision must be 'float32' or 'float64'")
         if self.num_queries < 2:
             raise UsageError("num_queries must be at least 2")
+        if not 0.0 <= self.confidence_threshold <= 1.0:
+            raise UsageError("confidence_threshold must be in [0, 1]")
 
     @property
     def grid(self) -> int:
@@ -106,6 +115,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Config":
+        if not isinstance(d, dict):
+            raise DataFormatError(f"config must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - known
         if unknown:

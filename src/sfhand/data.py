@@ -327,6 +327,9 @@ def _clip_segment(clip: ClipSample, pose_dim: int) -> bytes:
     hands["slot"] = [HandType.LEFT.value, HandType.RIGHT.value]
     for f, (states, joints) in enumerate(zip(clip.gt, clip.gt_joints)):
         by_type = {s.hand_type: s for s in states}
+        if len(by_type) < len(states) or HandType.BACKGROUND in by_type:  # one record per hand
+            raise DataFormatError(f"clip {clip.id} frame {f}: hand types "
+                                  f"{[s.hand_type.name for s in states]} are not one per hand")
         for slot in (HandType.LEFT, HandType.RIGHT):
             s = by_type.get(slot)
             if s is None or not s.visible:
@@ -434,8 +437,8 @@ def read_clipfile(base) -> list[ClipSample]:
         raise DataFormatError(f"cannot read manifest {manifest_path}: {e}") from e
     except json.JSONDecodeError as e:
         raise DataFormatError(f"manifest {manifest_path} is not valid JSON: {e}") from e
-    if not isinstance(manifest, dict):
-        raise DataFormatError(f"manifest {manifest_path} is not a JSON object")
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("clips", []), list):
+        raise DataFormatError(f"manifest {manifest_path} is not a JSON object with a clips list")
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(

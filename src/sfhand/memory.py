@@ -1,10 +1,10 @@
 """ROI-biased FIFO attention memory.
 
-A fixed-capacity queue holds the most recent concatenated visual+hand
-token embeddings together with a binary region-of-interest mask snapshot
-taken at enqueue time. The layer refines the current tokens by attending
-into the flattened queue, with the scores optionally biased by a learnable
-scalar times a hand-region mask.
+A fixed-capacity queue holds the most recent token embeddings together
+with a binary region-of-interest mask snapshot taken at enqueue time, both
+laid out by the caller (``ForecastModel.encode_current``). The layer
+refines the current tokens by attending into the flattened queue, with the
+scores optionally biased by a learnable scalar times the stored masks.
 
 The bias mode is ``Config.memory_mode``, checked when the config is
 built; two modes ship:
@@ -28,36 +28,6 @@ from . import tensor as T
 from .config import KEY_BROADCAST, Config
 from .errors import DimensionError, UsageError
 from .tensor import Tape, Tensor
-
-
-def roi_mask(states, cfg: Config) -> np.ndarray:
-    """Binary mask over the memory token layout.
-
-    A visual token is set iff its patch rectangle overlaps any visible
-    hand's box with positive area; a hand token is set iff its hand is
-    visible. Layout follows the active modality flags (visual tokens
-    first, then the two hand slots).
-    """
-    parts = []
-    visible = [s for s in (states or []) if s is not None and s.visible]
-    if cfg.use_video:
-        g = cfg.grid
-        edges = np.arange(g + 1) / g
-        vis_mask = np.zeros(g * g, dtype=np.uint8)
-        for s in visible:
-            x1, y1, x2, y2 = s.bbox.corners()
-            rows = np.minimum(y2, edges[1:]) - np.maximum(y1, edges[:-1]) > 0
-            cols = np.minimum(x2, edges[1:]) - np.maximum(x1, edges[:-1]) > 0
-            vis_mask |= np.outer(rows, cols).ravel()
-        parts.append(vis_mask)
-    if cfg.use_hand:
-        hand_mask = np.zeros(2, dtype=np.uint8)
-        for s in visible:
-            hand_mask[s.hand_type.value] = 1
-        parts.append(hand_mask)
-    if not parts:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(parts)
 
 
 @dataclass
@@ -114,20 +84,16 @@ class MemoryLayer:
         self.cfg = cfg
         self.alpha = tape.parameter("memory.alpha", np.asarray(1.0))
 
-    def forward(self, queue: MemoryQueue, e_t: Tensor, m_t: np.ndarray) -> Tensor:
-        """Residual attention of current tokens into the queue.
-
-        An empty queue skips attention and returns ``e_t`` unchanged.
-        """
+    def forward(self, queue: MemoryQueue, e_t: Tensor) -> Tensor:
+        """Residual attention of the current tokens into the queue, scores
+        biased by the masks stored with its entries. An empty queue skips
+        attention and returns ``e_t`` unchanged."""
         n, d = e_t.value.shape
         if n != queue.token_count or d != queue.dim:
             raise DimensionError(
                 f"current tokens {e_t.value.shape} != queue layout "
                 f"({queue.token_count}, {queue.dim})"
             )
-        m_t = np.asarray(m_t)
-        if m_t.shape != (n,):
-            raise DimensionError(f"roi mask length {m_t.shape} != token count {n}")
         if len(queue) == 0:
             return e_t
 

@@ -4,7 +4,9 @@ One forward step encodes the inputs, refines the visual+hand tokens
 through the FIFO memory, concatenates the text tokens in front, and
 decodes a fixed set of query predictions (type logits, box, pose,
 trajectory). The box head is sigmoid-bounded; pose and trajectory heads
-are linear in natural units (radians, centimeters).
+are linear in natural units (radians, centimeters). A frame's hands enter
+once, as the ``encoders.hand_slots`` array that the hand encoder and the
+memory's ROI mask both read.
 
 A step always runs a batch of B frames, B = 1 when streaming: every
 tensor has a leading B axis, and the decoder's queries broadcast against
@@ -21,10 +23,10 @@ import numpy as np
 
 from . import blocks, tensor as T
 from .config import Config
-from .encoders import HandEncoder, TextEncoder, VisualEncoder, tokenize_text
+from .encoders import PRESENT, HandEncoder, TextEncoder, VisualEncoder, hand_slots, tokenize_text
 from .errors import DimensionError, NumericalError, UsageError
 from .hand import CM_PER_M, BBox, HandPose, HandState, HandType, Trajectory3D
-from .memory import MemoryLayer, MemoryQueue, roi_mask
+from .memory import MemoryLayer, MemoryQueue
 from .tensor import Tape, Tensor
 
 TRAJ_BOUND = 9999.0  # clamp head output inside the Trajectory3D sanity range
@@ -97,21 +99,26 @@ class ForecastModel:
         """Detached text token values for caching across a streaming session."""
         ids = tokenize_text(instruction, self.cfg.text_len)
         with self.tape.no_record():
-            return self.text(ids).value
+            return self.text(ids[None]).value[0]
 
     def encode_current(self, frames: Optional[np.ndarray], hands: Sequence[list]):
         """(B, n, d) visual+hand tokens on the tape (None when both
-        modalities are off) and their (B, n) ROI mask, from (B, R, R, 3)
-        frames and B hand lists; the queue stores one frame's of each."""
-        parts: list[Tensor] = []
+        modalities are off) and their (B, n) uint8 ROI mask, from
+        (B, R, R, 3) frames and B hand lists: a patch's bit is set iff a
+        present hand's box overlaps it, a hand slot's iff it is present."""
+        slots = hand_slots(hands, self.cfg.pose_dim)
+        tokens: list[Tensor] = []
+        masks = [np.zeros((len(slots), 0), dtype=np.uint8)]
         if self.cfg.use_video:
             if frames is None:
                 raise UsageError("video enabled but no frame given")
-            parts.append(self.visual(frames))
+            tokens.append(self.visual(frames))
+            masks.append(self.visual.hand_patches(slots))
         if self.cfg.use_hand:
-            parts.append(self.hand(hands))
-        e_t = T.concat(parts, axis=-2) if parts else None
-        return e_t, np.stack([roi_mask(h, self.cfg) for h in hands])
+            tokens.append(self.hand(slots))
+            masks.append(slots[..., PRESENT])
+        e_t = T.concat(tokens, axis=-2) if tokens else None
+        return e_t, np.concatenate(masks, axis=-1).astype(np.uint8)
 
     # -- decoding --------------------------------------------------------------
 
@@ -163,7 +170,7 @@ class ForecastModel:
         if cfg.use_memory and e_t is not None:
             rows = []
             for j, queue in enumerate(queues):
-                rows.append(self.memory.forward(queue, e_t[j], mask[j]))
+                rows.append(self.memory.forward(queue, e_t[j]))
                 queue.enqueue(e_t.value[j], mask[j])
             aug = T.stack(rows)
 

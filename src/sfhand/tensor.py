@@ -79,7 +79,7 @@ class Tensor:
 
 
 class Tape:
-    """Ordered op records plus named leaf parameters."""
+    """Ordered op records (``nodes``) plus named leaf parameters (``params``)."""
 
     def __init__(self, dtype="float32"):
         self.dtype = np.dtype(dtype)
@@ -99,7 +99,6 @@ class Tape:
         arr = np.array(value, dtype=self.dtype, order="C")  # preserves 0-d
         t = Tensor(self, arr, name=name)
         self.params[name] = t
-        self.nodes.append(t)
         return t
 
     def constant(self, value) -> Tensor:
@@ -108,9 +107,9 @@ class Tape:
 
     def reset(self) -> None:
         """Drop op records, keep parameters registered and their values."""
-        self.nodes = list(self.params.values())
+        self.nodes = []
         self.ops = 0
-        for p in self.nodes:
+        for p in self.params.values():
             p.grad = None
 
     @contextmanager
@@ -156,24 +155,23 @@ class Tape:
         """Gradient of a scalar loss w.r.t. every named parameter.
 
         Each op record drops its gradient and backward rule once its rule
-        has run, and the tape keeps only the parameters, so the same loss
-        cannot be differentiated twice."""
+        has run, and the tape keeps no records, so the same loss cannot be
+        differentiated twice."""
         if loss.tape is not self:
             raise UsageError("loss tensor belongs to another tape")
         if loss.value.shape != ():
             raise UsageError(f"loss must be scalar, got shape {loss.value.shape}")
         if not any(n is loss for n in reversed(self.nodes)):
             raise UsageError("loss was not recorded on this tape since its last reset")
-        nodes, self.nodes = self.nodes, list(self.params.values())
-        for n in nodes:
-            n.grad = None
+        nodes, self.nodes = self.nodes, []
+        for p in self.params.values():
+            p.grad = None
         loss.grad = np.ones((), dtype=self.dtype)
         while nodes:
             n = nodes.pop()
-            if n.name is None:  # an op record; parameters keep their gradients
-                if n.grad is not None:
-                    n.bwd(n.grad)
-                n.bwd = n.grad = None
+            if n.grad is not None:
+                n.bwd(n.grad)
+            n.bwd = n.grad = None
         return {
             name: (p.grad if p.grad is not None else np.zeros_like(p.value))
             for name, p in self.params.items()

@@ -166,3 +166,78 @@ def test_cli_stream_exits_3_on_non_finite_head(tmp_path):
     with np.errstate(invalid="ignore"):
         assert main(["stream", "--checkpoint", str(ckpt), "--clip", data]) == 3
 
+
+
+def _with_config_blob(tmp_path, blob: bytes):
+    """A saved checkpoint whose stored config bytes are replaced by ``blob``."""
+    path, _, _ = _saved(tmp_path)
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 16)
+    bad = tmp_path / "config.ckpt"
+    bad.write_bytes(raw[:16] + struct.pack("<I", len(blob)) + blob + raw[20 + cfg_len:])
+    return bad
+
+
+BAD_CONFIG_VALUES = [("d", "eight"), ("d", True), ("use_text", "no"), ("use_text", 0),
+                     ("learning_rate", "fast"), ("memory_mode", 1),
+                     ("confidence_threshold", 2.5), ("confidence_threshold", -0.1)]
+
+
+@pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES)
+def test_cli_rejects_a_mistyped_or_out_of_range_stored_config(tmp_path, capsys, field, value):
+    data = _gen_clips(tmp_path, "reach")
+    stored = dict(Config(**TINY).to_dict(), **{field: value})
+    bad = _with_config_blob(tmp_path, json.dumps(stored).encode())
+    with pytest.raises(DataFormatError, match=field):
+        load_checkpoint(bad)
+    assert main(["eval", "--data", data, "--checkpoint", str(bad)]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blob", [b'{"d": "\xff"}', b"[1, 2]", b'{"nope": 1}'],
+                         ids=["not_utf8", "json_list", "unknown_field"])
+def test_cli_rejects_a_stored_config_that_is_not_a_config_object(tmp_path, blob):
+    data = _gen_clips(tmp_path, "reach")
+    bad = _with_config_blob(tmp_path, blob)
+    with pytest.raises(DataFormatError):
+        load_checkpoint(bad)
+    assert main(["stream", "--checkpoint", str(bad), "--clip", data]) == 2
+
+
+def test_cli_rejects_a_parameter_name_that_is_not_utf8(tmp_path):
+    path, _, _ = _saved(tmp_path)
+    raw = path.read_bytes()
+    first = min(ForecastModel(Config(**TINY)).tape.params).encode()
+    bad = tmp_path / "name.ckpt"
+    bad.write_bytes(raw.replace(first, b"\xff" + first[1:], 1))
+    with pytest.raises(DataFormatError, match="utf-8"):
+        load_checkpoint(bad)
+    assert main(["bench", "--checkpoint", str(bad), "--length", "2"]) == 2
+
+
+@pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES)
+def test_cli_train_rejects_a_mistyped_or_out_of_range_config_file(tmp_path, capsys,
+                                                                  field, value):
+    data = _gen_clips(tmp_path, "reach")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TINY, field: value}))
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--data", data, "--out-checkpoint", str(out),
+                 "--config", str(config), "--steps", "1"]) == 1
+    assert field in capsys.readouterr().err and not out.exists()
+
+
+@pytest.mark.parametrize("content", [b"[1, 2]", b'{"d": "\xff"}'], ids=["json_list", "not_utf8"])
+def test_cli_train_rejects_a_config_file_that_is_not_a_config_object(tmp_path, content):
+    data = _gen_clips(tmp_path, "reach")
+    config = tmp_path / "config.json"
+    config.write_bytes(content)
+    assert main(["train", "--data", data, "--out-checkpoint", str(tmp_path / "m.ckpt"),
+                 "--config", str(config), "--steps", "1"]) == 2
+
+
+def test_cli_flag_out_of_range_threshold_is_a_usage_error(tmp_path):
+    data = _gen_clips(tmp_path, "reach")
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
+    assert main(["train", "--data", data, "--out-checkpoint", str(tmp_path / "m.ckpt"),
+                 "--steps", "1", "--confidence-threshold", "2.5", *flags]) == 1

@@ -1,5 +1,6 @@
 """Generator determinism, scenario structure, file format round-trips."""
 
+import dataclasses
 import json
 import zlib
 
@@ -217,6 +218,29 @@ class TestClipFile:
         manifest_path, _ = write_clipfile([clip], tmp_path / "p")
         assert json.loads(manifest_path.read_text())["pose_dim"] == 6
         assert clips_equal(read_clipfile(tmp_path / "p")[0], clip)
+
+    @pytest.mark.parametrize("clips", [5, {"0": {}}, "clips"])
+    def test_clips_that_is_not_a_list_is_a_data_error(self, tmp_path, clips):
+        manifest_path, _ = write_clipfile(gen("idle", seed=8, raster=16), tmp_path / "l")
+        doc = json.loads(manifest_path.read_text())
+        doc["clips"] = clips
+        manifest_path.write_text(json.dumps(doc))
+        with pytest.raises(DataFormatError, match="clips"):
+            read_clipfile(tmp_path / "l")
+        assert main(["eval", "--data", str(tmp_path / "l"), "--mode", "static"]) == 2
+
+    @pytest.mark.parametrize("frame_states", [
+        lambda s: [s, s],
+        lambda s: [s, dataclasses.replace(s, visible=False)],
+        lambda s: [dataclasses.replace(s, hand_type=HandType.BACKGROUND)],
+    ], ids=["two_of_one_type", "second_invisible", "non_hand_type"])
+    def test_write_rejects_a_frame_it_cannot_hold(self, tmp_path, frame_states):
+        # the file holds one record per hand, so the second state of a type
+        # used to overwrite the first
+        clip = gen("reach", seed=3, raster=16)[0]
+        clip.gt[2] = frame_states(clip.gt[2][0])
+        with pytest.raises(DataFormatError, match="frame 2"):
+            write_clipfile([clip], tmp_path / "w")
 
     def test_joint_frames_must_match_gt_frames(self):
         clip = gen("reach", seed=3, raster=16)[0]

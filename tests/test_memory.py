@@ -1,4 +1,6 @@
-"""FIFO queue semantics, ROI mask layout, and bias-mode behavior."""
+"""FIFO queue semantics, the ROI mask ``encode_current`` builds, and bias-mode behavior."""
+
+import functools
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +10,8 @@ from sfhand import tensor as T
 from sfhand.config import KEY_BROADCAST, OFF, Config
 from sfhand.errors import DimensionError, UsageError
 from sfhand.hand import BBox, HandPose, HandState, HandType, Trajectory3D
-from sfhand.memory import MemoryLayer, MemoryQueue, roi_mask
+from sfhand.memory import MemoryLayer, MemoryQueue
+from sfhand.model import ForecastModel
 
 
 def cfg_8x8(**kw):
@@ -23,11 +26,54 @@ def state(cx, cy, w, h, ht=HandType.LEFT, visible=True):
                      Trajectory3D(0, 0, 10), visible)
 
 
+def roi_mask_oracle(states, cfg):
+    """The mask as one loop over one frame's hand states: a visual token
+    is set iff its patch rectangle overlaps a visible hand's box with
+    positive area, a hand token iff its hand is visible."""
+    parts = []
+    visible = [s for s in states if s.visible]
+    if cfg.use_video:
+        g = cfg.grid
+        edges = np.arange(g + 1) / g
+        vis_mask = np.zeros(g * g, dtype=np.uint8)
+        for s in visible:
+            x1, y1, x2, y2 = s.bbox.corners()
+            rows = np.minimum(y2, edges[1:]) - np.maximum(y1, edges[:-1]) > 0
+            cols = np.minimum(x2, edges[1:]) - np.maximum(x1, edges[:-1]) > 0
+            vis_mask |= np.outer(rows, cols).ravel()
+        parts.append(vis_mask)
+    if cfg.use_hand:
+        hand_mask = np.zeros(2, dtype=np.uint8)
+        for s in visible:
+            hand_mask[s.hand_type.value] = 1
+        parts.append(hand_mask)
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.uint8)
+
+
+@functools.lru_cache(maxsize=None)
+def model_for(cfg):
+    return ForecastModel(cfg)
+
+
+def roi_masks(hands, cfg):
+    """(B, n) masks that ``encode_current`` builds for B frames' hands."""
+    frames = np.zeros((len(hands), cfg.raster, cfg.raster, 3))
+    with model_for(cfg).tape.no_record():
+        return model_for(cfg).encode_current(frames, hands)[1]
+
+
+def roi_mask(states, cfg):
+    return roi_masks([states], cfg)[0]
+
+
+MODALITIES = [dict(use_video=v, use_hand=h) for v in (True, False) for h in (True, False)]
+
+
 class TestRoiMask:
     def test_full_image_box_sets_all_visual(self):
         cfg = cfg_8x8()
         m = roi_mask([state(0.5, 0.5, 1.0, 1.0)], cfg)
-        assert m.shape == (66,)
+        assert m.shape == (66,) and m.dtype == np.uint8
         assert m[:64].sum() == 64
         assert m[64] == 1 and m[65] == 0  # left visible, right absent
 
@@ -67,6 +113,48 @@ class TestRoiMask:
         assert roi_mask([], cfg_8x8(use_video=False)).shape == (2,)
         assert roi_mask([], cfg_8x8(use_hand=False)).shape == (64,)
         assert roi_mask([], cfg_8x8(use_video=False, use_hand=False)).shape == (0,)
+
+    @pytest.mark.parametrize("patch", (8, 16))
+    @pytest.mark.parametrize("flags", MODALITIES, ids=str)
+    def test_equals_the_per_state_loop(self, flags, patch):
+        # random boxes, boxes whose edges sit on patch seams, boxes that
+        # hang off the frame, and 15% invisible hands
+        cfg = cfg_8x8(patch=patch, **flags)
+        g = cfg.grid
+        rng = np.random.default_rng(patch)
+        hands = []
+        for _ in range(600):
+            states = []
+            for ht in rng.permutation([HandType.LEFT, HandType.RIGHT])[:rng.integers(0, 3)]:
+                kind = rng.integers(0, 3)
+                if kind == 0:
+                    cx, cy = rng.uniform(0, 1, 2)
+                    w, h = rng.uniform(1e-3, 1, 2)
+                elif kind == 1:
+                    (x1, x2), (y1, y2) = (np.sort(rng.choice(g + 1, 2, replace=False)) / g
+                                          for _ in range(2))
+                    cx, cy, w, h = (x1 + x2) / 2, (y1 + y2) / 2, x2 - x1, y2 - y1
+                else:
+                    cx, cy = rng.choice([0.0, 1.0], 2)
+                    w, h = rng.integers(1, g + 1, 2) / g
+                states.append(state(cx, cy, w, h, ht=ht, visible=rng.random() > 0.15))
+            hands.append(states)
+        want = np.stack([roi_mask_oracle(states, cfg) for states in hands])
+        npt.assert_array_equal(roi_masks(hands, cfg), want)
+        assert want.size == 0 or (want.any() and not want.all())
+
+    @pytest.mark.parametrize("flags", MODALITIES, ids=str)
+    def test_duplicate_or_non_hand_type_rejected(self, flags):
+        # the hands enter the model once, so the check holds whichever
+        # modalities are on; with use_hand=False it used to pass silently
+        cfg = cfg_8x8(**flags)
+        frames = np.zeros((1, 64, 64, 3))
+        bad = ([state(0.5, 0.5, 0.2, 0.2), state(0.2, 0.2, 0.1, 0.1)],
+               [state(0.5, 0.5, 0.2, 0.2), state(0.2, 0.2, 0.1, 0.1, visible=False)],
+               [state(0.5, 0.5, 0.2, 0.2, ht=HandType.BACKGROUND)])
+        for states in bad:
+            with pytest.raises(UsageError, match="duplicate|non-hand"):
+                model_for(cfg).encode_current(frames, [[], states])
 
 
 class TestQueue:
@@ -140,7 +228,7 @@ def outputs_by_mode(modes, seed, alpha, entries):
         f = LayerFixture(seed=seed, mode=mode)
         f.set_alpha(alpha)
         q = f.queue_with(entries)
-        outs.append(f.layer.forward(q, f.tokens(), np.ones(f.tok)).value)
+        outs.append(f.layer.forward(q, f.tokens()).value)
     return outs
 
 
@@ -148,7 +236,7 @@ class TestMemoryForward:
     def test_empty_queue_identity(self):
         f = LayerFixture()
         e = f.tokens()
-        out = f.layer.forward(f.queue_with(0), e, np.zeros(f.tok))
+        out = f.layer.forward(f.queue_with(0), e)
         npt.assert_array_equal(out.value, e.value)
 
     def test_attention_rows_sum_to_one_implicitly(self):
@@ -159,7 +247,7 @@ class TestMemoryForward:
         row = f.rng.normal(0, 1, 8)
         q.enqueue(np.tile(row, (f.tok, 1)), np.zeros(f.tok))
         e = f.tokens()
-        out = f.layer.forward(q, e, np.zeros(f.tok))
+        out = f.layer.forward(q, e)
         npt.assert_allclose(out.value - e.value, np.tile(row, (f.tok, 1)), atol=1e-12)
 
     def test_literal_mode_equals_off_for_any_alpha(self):
@@ -185,7 +273,7 @@ class TestMemoryForward:
         mask[1] = 1  # exactly one masked key token in the single entry
         q = f.queue_with(1, mask=mask)
         e = f.tokens()
-        out = f.layer.forward(q, e, np.zeros(f.tok))
+        out = f.layer.forward(q, e)
         # reconstruct attention weights directly from the softmax oracle
         keys = q.flat_keys(np.float64)
         scores = (e.value @ keys.T) / np.sqrt(8) + 50.0 * q.flat_masks()
@@ -219,7 +307,7 @@ class TestMemoryForward:
             Config.from_json('{"memory_mode": "query_broadcast_literal"}')
         f = LayerFixture()
         with pytest.raises(DimensionError):
-            f.layer.forward(f.queue_with(1), f.tokens(), np.zeros(f.tok - 1))
+            f.layer.forward(f.queue_with(1), f.tape.constant(np.zeros((f.tok - 1, 8))))
 
     def test_alpha_preserved_across_reset(self):
         f = LayerFixture()
@@ -227,12 +315,12 @@ class TestMemoryForward:
         f.queue_with(3)
         q = f.queue_with(0)
         assert float(f.layer.alpha.value) == 7.5
-        out = f.layer.forward(q, f.tokens(), np.zeros(f.tok))
+        out = f.layer.forward(q, f.tokens())
         assert len(q) == 0 and out is not None
 
     def test_multihead_memory_flag(self):
         cfg = Config(d=8, heads=1, pose_dim=6, num_queries=2, raster=16, patch=8,
                      text_len=4, memory_size=4, memory_heads=2)
         f = LayerFixture(seed=5, cfg=cfg)
-        out = f.layer.forward(f.queue_with(2), f.tokens(), np.zeros(f.tok))
+        out = f.layer.forward(f.queue_with(2), f.tokens())
         assert out.value.shape == (f.tok, 8)

@@ -91,10 +91,10 @@ def test_frames_follow_shuffled_visits_with_a_fresh_queue_each():
         batch_hands[:] = hands
         return step(frames, hands, queues, **kw)
 
-    def memory_spy(queue, e_t, mask):
+    def memory_spy(queue, e_t):
         hands = batch_hands.pop(0)
         seen.append((*where[id(hands[0])], len(queue), len(records)))
-        return remember(queue, e_t, mask)
+        return remember(queue, e_t)
 
     model.forward_step, model.memory.forward = step_spy, memory_spy
     train(model, CLIPS, steps=5, on_record=records.append)
