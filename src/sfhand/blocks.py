@@ -63,18 +63,18 @@ def layer_norm(x: Tensor, p) -> Tensor:
     return T.layer_norm(x, p["g"], p["b"])
 
 
-def attention(q_in: Tensor, kv_in: Tensor, p, heads: int, key_mask=None,
-              key_pos: Tensor | None = None) -> Tensor:
+def attention(q_in: Tensor, k_in: Tensor, v_in: Tensor, p, heads: int,
+              key_mask=None) -> Tensor:
     """Multi-head attention with q/k/v/o projections around ``T.attend``.
 
+    ``k_in`` and ``v_in`` are the inputs of the key and value projections
+    (the same tensor, unless keys carry a position the values do not);
     ``key_mask`` is a binary (m,) vector over keys, or (B, m) with one row
-    per sample (0 = excluded); ``key_pos`` is an optional positional
-    tensor added to keys only.
+    per sample (0 = excluded).
     """
     q = linear(q_in, p["q"])
-    k_src = T.add(kv_in, key_pos) if key_pos is not None else kv_in
-    k = linear(k_src, p["k"])
-    v = linear(kv_in, p["v"])
+    k = linear(k_in, p["k"])
+    v = linear(v_in, p["v"])
     bias = None
     if key_mask is not None:
         bias = (1.0 - np.asarray(key_mask, dtype=q_in.tape.dtype)) * MASK_BIAS
@@ -88,16 +88,16 @@ def mlp(x: Tensor, p) -> Tensor:
 
 def encoder_block(x: Tensor, p, heads: int, key_mask=None) -> Tensor:
     h = layer_norm(x, p["ln1"])
-    x = T.add(x, attention(h, h, p["attn"], heads, key_mask=key_mask))
+    x = T.add(x, attention(h, h, h, p["attn"], heads, key_mask=key_mask))
     x = T.add(x, mlp(layer_norm(x, p["ln_mlp"]), p))
     return x
 
 
-def decoder_block(x: Tensor, mem: Tensor, p, heads: int,
-                  mem_pos: Tensor | None = None) -> Tensor:
+def decoder_block(x: Tensor, mem_keys: Tensor, mem: Tensor, p, heads: int) -> Tensor:
+    """Self-attention, then cross-attention from ``mem_keys`` keys onto
+    ``mem`` values, then the MLP."""
     h = layer_norm(x, p["ln1"])
-    x = T.add(x, attention(h, h, p["attn"], heads))
-    x = T.add(x, attention(layer_norm(x, p["ln_x"]), mem, p["xattn"], heads,
-                           key_pos=mem_pos))
+    x = T.add(x, attention(h, h, h, p["attn"], heads))
+    x = T.add(x, attention(layer_norm(x, p["ln_x"]), mem_keys, mem, p["xattn"], heads))
     x = T.add(x, mlp(layer_norm(x, p["ln_mlp"]), p))
     return x

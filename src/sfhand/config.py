@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import DataFormatError, UsageError
@@ -15,6 +16,13 @@ MEMORY_MODES = (KEY_BROADCAST, OFF)
 
 # the values each field annotation admits; a bool is never a number here
 _TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def _finite(v) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -62,6 +70,8 @@ class Config:
             v = getattr(self, f.name)
             if isinstance(v, bool) != (f.type == "bool") or not isinstance(v, _TYPES[f.type]):
                 raise UsageError(f"config field {f.name!r} must be a {f.type}, got {v!r}")
+            if f.type == "float" and not _finite(v):
+                raise UsageError(f"config field {f.name!r} must be finite, got {v!r}")
         positive = (
             "d heads text_layers hand_layers decoder_layers pose_dim memory_size "
             "num_queries raster patch text_len mlp_ratio memory_heads batch"

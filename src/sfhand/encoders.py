@@ -83,17 +83,21 @@ class TextEncoder:
         self.ln_out = blocks.init_layernorm(tape, "text.ln_out", d)
 
     def __call__(self, ids: np.ndarray) -> Tensor:
-        """(B, L) token ids."""
+        """(B, L) token ids. Each distinct row is encoded once, and the
+        (B, L, d) tokens are gathered from those rows, so the gradients of
+        rows sharing an instruction add up in its one encoding."""
         ids = np.asarray(ids)
         if ids.ndim != 2 or ids.shape[1] != self.cfg.text_len:
             raise DimensionError(f"expected (B, {self.cfg.text_len}) token ids, got {ids.shape}")
         if ids.dtype.kind not in "iu":
             raise UsageError("token ids must be integers")
+        ids, inverse = np.unique(ids, axis=0, return_inverse=True)
         pad_mask = (ids != PAD_ID).astype(np.float64)
         x = T.add(self.embed[ids], self.pos)
         for p in self.blocks:
             x = blocks.encoder_block(x, p, self.cfg.heads, key_mask=pad_mask)
-        return blocks.layer_norm(x, self.ln_out)
+        # the inverse's shape differs across numpy 2.0.x releases
+        return blocks.layer_norm(x, self.ln_out)[inverse.reshape(-1)]
 
 
 class VisualEncoder:

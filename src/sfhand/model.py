@@ -129,10 +129,10 @@ class ForecastModel:
             raise DimensionError(f"memory-augmented tokens have dim {d}, expected {self.cfg.d}")
         if n > self.mem_pos.value.shape[0]:
             raise DimensionError(f"{n} tokens exceed positional table")
-        pos = self.mem_pos[0:n]
+        keys = T.add(f_me, self.mem_pos[0:n])  # positions enter the keys only
         x = self.queries
         for p in self.blocks:
-            x = blocks.decoder_block(x, f_me, p, self.cfg.heads, mem_pos=pos)
+            x = blocks.decoder_block(x, keys, f_me, p, self.cfg.heads)
         x = blocks.layer_norm(x, self.ln_out)
         return DecodedStep(
             type_logits=blocks.linear(x, self.head_type),
@@ -212,7 +212,7 @@ class ForecastModel:
             q = int(np.argmax(col))
             if col[q] < self.cfg.confidence_threshold:
                 continue
-            cx, cy, w, h = (float(np.clip(v, 1e-6, 1.0)) for v in boxes[q])
+            cx, cy, w, h = np.clip(boxes[q], 1e-6, 1.0).tolist()
             t = np.clip(traj[q].astype(np.float64), -TRAJ_BOUND, TRAJ_BOUND)
             out.append(
                 HandState(

@@ -306,12 +306,13 @@ def affine(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
 
     def bwd(g):
         # w.value is the forward's weight only until the optimizer updates
-        # it in place, which it does after the backward
-        if _live(x):
-            _acc(x, g @ w.value.T)
+        # it in place, which it does after the backward. A batch stacks its
+        # rows, so each gradient is one 2-D product.
         g = g.reshape(-1, ws[1])
+        if _live(x):
+            _acc(x, (g @ w.value.T).reshape(xs))
         if _live(w):
-            _acc(w, x.value.reshape(-1, ws[0]).T @ g)  # a batch stacks its rows
+            _acc(w, x.value.reshape(-1, ws[0]).T @ g)
         if b is not None and _live(b):
             _acc(b, g.sum(axis=0))
 

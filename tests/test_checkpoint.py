@@ -180,7 +180,8 @@ def _with_config_blob(tmp_path, blob: bytes):
 
 BAD_CONFIG_VALUES = [("d", "eight"), ("d", True), ("use_text", "no"), ("use_text", 0),
                      ("learning_rate", "fast"), ("memory_mode", 1),
-                     ("confidence_threshold", 2.5), ("confidence_threshold", -0.1)]
+                     ("confidence_threshold", 2.5), ("confidence_threshold", -0.1),
+                     ("learning_rate", float("nan")), ("lambda_box", float("inf"))]
 
 
 @pytest.mark.parametrize("field, value", BAD_CONFIG_VALUES)
@@ -241,3 +242,14 @@ def test_cli_flag_out_of_range_threshold_is_a_usage_error(tmp_path):
     flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
     assert main(["train", "--data", data, "--out-checkpoint", str(tmp_path / "m.ckpt"),
                  "--steps", "1", "--confidence-threshold", "2.5", *flags]) == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--learning-rate", "nan"), ("--lambda-box", "inf"),
+                                         ("--weight-decay", "-inf")])
+def test_cli_flag_non_finite_float_is_a_usage_error(tmp_path, capsys, flag, value):
+    data = _gen_clips(tmp_path, "reach")
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
+    out = tmp_path / "m.ckpt"
+    assert main(["train", "--data", data, "--out-checkpoint", str(out),
+                 "--steps", "1", f"{flag}={value}", *flags]) == 1
+    assert "finite" in capsys.readouterr().err and not out.exists()

@@ -26,7 +26,9 @@ def test_replace_validates():
     ("d", "eight"), ("d", 8.0), ("d", True), ("use_text", "no"), ("use_text", 1),
     ("learning_rate", "1e-3"), ("learning_rate", False), ("precision", None),
     ("confidence_threshold", 1.5), ("confidence_threshold", -0.5),
-    ("confidence_threshold", float("nan")),
+    ("confidence_threshold", float("nan")), ("learning_rate", float("nan")),
+    ("lambda_box", float("inf")), ("weight_decay", float("-inf")),
+    ("background_weight", 10**400),
 ])
 def test_validate_rejects_a_wrong_type_or_range(field, value):
     with pytest.raises(UsageError, match=field):

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from sfhand import blocks
 from sfhand.config import Config
 from sfhand.encoders import BOS_ID, PAD_ID, hand_slots, tokenize_text
 from sfhand.errors import DimensionError, UsageError
@@ -63,6 +64,24 @@ class TestTextEncoder:
         active = int((ids != PAD_ID).sum())
         npt.assert_array_equal(out[:active], base[:active])
         assert np.abs(out[active:] - base[active:]).max() > 0  # PAD rows do move
+
+    def test_repeated_rows_encoded_once_and_equal_their_own_encoding(self, monkeypatch):
+        m = ForecastModel(tiny_cfg(precision="float64"))
+        a, b = tokenize_text("wave", 8), tokenize_text("point left", 8)
+        ids = np.stack([b, a, b, b, a])
+        rows = []
+        block = blocks.encoder_block
+
+        def counting_block(x, *args, **kw):
+            rows.append(x.value.shape[0])
+            return block(x, *args, **kw)
+
+        monkeypatch.setattr(blocks, "encoder_block", counting_block)
+        out = m.text(ids).value
+        assert out.shape == (5, 8, 16)
+        assert rows == [2] * m.cfg.text_layers  # each block ran on the 2 distinct rows
+        for j, row in enumerate(ids):
+            npt.assert_allclose(out[j], m.text(row[None]).value[0], rtol=0, atol=1e-12)
 
     def test_wrong_length_rejected(self):
         m = ForecastModel(tiny_cfg())

@@ -246,9 +246,13 @@ def test_whole_model_through_composite_loss(memory_mode):
                  memory_mode=memory_mode)
     clip = generate_synthetic(5, "two_hands", 1, frames=4, raster=16, pose_dim=6)[0]
     model = ForecastModel(cfg)
-    ids = tokenize_text(clip.instruction, cfg.text_len)
-    # frozen queue: detached past steps, so every gradient ends at this step;
-    # each call steps on a copy, since the step enqueues into its queue
+    # three frames, the first and last sharing an instruction, so the text
+    # encoder's gather adds two frames' gradients into one encoding
+    ids = np.stack([tokenize_text(s, cfg.text_len)
+                    for s in (clip.instruction, "wave", clip.instruction)])
+    assert len(np.unique(ids, axis=0)) == 2
+    # frozen queue: detached past steps, so every gradient ends at this
+    # update; each frame steps on its own copy, since a step enqueues
     frozen = model.new_queue()
     e_t, mask = model.encode_current(clip.frames[:2], clip.gt[:2])
     for i in range(2):
@@ -258,10 +262,10 @@ def test_whole_model_through_composite_loss(memory_mode):
         for name, value in params.items():
             model.tape.set_param(name, value)
         model.tape.reset()
-        queue = copy.deepcopy(frozen)
-        decoded = model.forward_step(clip.frames[2:3], [clip.gt[2]], [queue],
-                                     instruction_ids=ids[None])
-        return composite_loss(decoded, [clip.gt[3]], cfg)[0]
+        queues = [copy.deepcopy(frozen) for _ in range(3)]
+        decoded = model.forward_step(clip.frames[:3], clip.gt[:3], queues,
+                                     instruction_ids=ids)
+        return composite_loss(decoded, clip.gt[1:4], cfg)[0]
 
     params = {k: v.copy() for k, v in model.tape.param_values().items()}
     grads = model.tape.backward(loss_at(params))

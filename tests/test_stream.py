@@ -63,6 +63,20 @@ def test_session_step_records_nothing_and_equals_a_recording_step():
         np.testing.assert_array_equal(decoded.stacked_values()[0], session.trace[-1].outputs)
 
 
+def test_default_config_stream_step_op_count():
+    # A deterministic work count: the decoder adds its key positions once
+    # per step, not once per block; the first step's memory attends to an
+    # empty queue.
+    model = ForecastModel(Config())
+    clip = generate_synthetic(0, "reach", 1, frames=4)[0]
+    session = Session(model, clip.instruction, mode=ORACLE)
+    ops = []
+    for i in range(3):
+        session.step(clip.frames[i], clip.gt[i])
+        ops.append(model.tape.ops)
+    assert ops == [148, 151, 151]
+
+
 def test_bench_constant_cost_holds():
     result = bench(ForecastModel(Config(**TINY)), 20)
     assert result.constant_cost()

@@ -103,6 +103,20 @@ class TestMatmul:
         npt.assert_allclose(grads["w"], sum(x0[j].T @ gout[j] for j in range(3)), atol=1e-12)
         npt.assert_allclose(grads["b"], gout.sum(axis=(0, 1)), atol=1e-12)
 
+    @pytest.mark.parametrize("shape", [(5, 4), (3, 5, 4), (2, 3, 5, 4)])
+    def test_input_gradient_equals_the_per_frame_product(self, shape):
+        rng = np.random.default_rng(13)
+        tape = make_tape("float64")
+        x = tape.parameter("x", rng.standard_normal(shape))
+        w0 = rng.standard_normal((4, 6))
+        out = T.affine(x, tape.parameter("w", w0))
+        gout = rng.standard_normal(out.value.shape)
+        gx = tape.backward(T.sum_(T.mul(out, gout)))["x"]
+        frames = gout.reshape(-1, 5, 6)
+        want = np.stack([g @ w0.T for g in frames]).reshape(shape)
+        assert gx.shape == shape
+        npt.assert_allclose(gx, want, rtol=0, atol=1e-12)
+
     def test_replaced_weight_is_not_kept_alive(self):
         # set_param writes into the parameter's own array, so no old array
         # is left for the last step's records to hold, and affine's
