@@ -147,7 +147,7 @@ def cmd_stream(args) -> int:
     if not 0 <= args.index < len(clips):
         raise UsageError(f"clip index {args.index} out of range (0..{len(clips) - 1})")
     clip = clips[args.index]
-    forecasts, _ = rollout(model, clip, mode=args.mode)
+    forecasts = rollout(model, [clip], mode=args.mode)[0][0]
     acc = MetricAccumulator()
     acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
     for k, v in acc.report().to_dict().items():

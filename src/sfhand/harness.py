@@ -3,8 +3,9 @@
 The synthetic benchmark is a fixed-composition mix of scenarios: 64
 training clips (20 reach, 20 pick-and-return, 12 two-hands, 12 idle) and
 16 held-out clips (8 reach, 8 pick-and-return) drawn from a disjoint seed
-stream. Evaluation rolls the clips out one after another in a single
-loop and pools every clip's metrics into one accumulator.
+stream. Evaluation rolls each group of equal-length clips out as one
+lockstep batch of streams and pools every clip's metrics into one
+accumulator, in input order.
 """
 
 from __future__ import annotations
@@ -41,22 +42,27 @@ def build_benchmark(seed: int, *, raster: int = 32, pose_dim: int = 48,
 
 def evaluate_model(model: ForecastModel | None, clips: list[ClipSample], mode: str,
                    *, workers: int = 1) -> MetricReport:
-    """Pool rollout metrics over a clip set, scoring each clip once.
-
-    ``mode``: 'self', 'oracle', or 'static' (the latter needs no model).
-    Clips run serially; ``workers`` is accepted only as 1.
-    """
+    """Pool rollout metrics over a clip set, scoring each clip once, in
+    input order. ``mode``: 'self', 'oracle', or 'static' (the latter needs
+    no model). Each group of equal-length clips runs as one lockstep
+    ``rollout``, so the report equals pooling one rollout per clip.
+    ``workers`` stays only because perfbench passes it, as 1."""
     if workers != 1:
-        raise UsageError(f"evaluation is serial; workers must be 1, got {workers}")
+        raise UsageError(f"workers must be 1, got {workers}; the argument stays only "
+                         "because perfbench passes it")
     if mode not in (SELF_FEED, ORACLE, STATIC):
         raise UsageError(f"unknown eval mode {mode!r}")
     if mode != STATIC and model is None:
         raise UsageError("model required unless mode is 'static'")
+    if mode == STATIC:
+        forecasts = [static_baseline(clip) for clip in clips]
+    else:
+        forecasts = [None] * len(clips)
+        for length in {clip.num_frames for clip in clips}:
+            group = [k for k, clip in enumerate(clips) if clip.num_frames == length]
+            for k, states in zip(group, rollout(model, [clips[k] for k in group], mode)[0]):
+                forecasts[k] = states
     acc = MetricAccumulator()
-    for clip in clips:
-        if mode == STATIC:
-            forecasts = static_baseline(clip)
-        else:
-            forecasts, _ = rollout(model, clip, mode=mode)
-        acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
+    for clip, states in zip(clips, forecasts):
+        acc.add_clip(states, clip.gt[1:], clip.gt_joints[1:])
     return acc.report()

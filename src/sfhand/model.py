@@ -8,10 +8,10 @@ are linear in natural units (radians, centimeters). A frame's hands enter
 once, as the ``encoders.hand_slots`` array that the hand encoder and the
 memory's ROI mask both read.
 
-A step always runs a batch of B frames, B = 1 when streaming: every
-tensor has a leading B axis, and the decoder's queries broadcast against
-the (B, n, d) tokens. The memory layer is the one per-frame loop, since
-each frame attends to the entries the frames before it enqueued.
+Training, evaluation and streaming all step a batch of B independent
+streams, each advancing one frame (B = 1 for a single stream): every
+tensor has a leading B axis, one memory queue holds the B streams'
+windows, and the decoder's queries broadcast against the (B, n, d) tokens.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ TRAJ_BOUND = 9999.0  # clamp head output inside the Trajectory3D sanity range
 class DecodedStep:
     """Per-query prediction heads, still attached to the tape."""
 
-    # each (B, Q, k) for a batch of B frames; one frame's are (Q, k)
+    # each (B, Q, k) for a batch of B streams; one stream's are (Q, k)
     type_logits: Tensor  # (B, Q, 3) left/right/background
     boxes: Tensor        # (B, Q, 4) sigmoid cx cy w h
     pose: Tensor         # (B, Q, P)
@@ -50,7 +50,7 @@ class DecodedStep:
         )
 
     def frame(self, j: int) -> "DecodedStep":
-        """Frame j's (Q, k) heads of a batch, on the tape."""
+        """Stream j's (Q, k) heads of a batch, on the tape."""
         return DecodedStep(self.type_logits[j], self.boxes[j], self.pose[j], self.traj[j])
 
 
@@ -88,18 +88,16 @@ class ForecastModel:
 
     # -- construction helpers -------------------------------------------------
 
-    def new_queue(self) -> MemoryQueue:
-        return MemoryQueue(
-            capacity=self.cfg.memory_size,
-            token_count=self.cfg.memory_token_count(),
-            dim=self.cfg.d,
-        )
+    def new_queue(self, streams: int = 1) -> MemoryQueue:
+        cfg = self.cfg
+        return MemoryQueue(cfg.memory_size, cfg.memory_token_count(), cfg.d, streams)
 
-    def encode_instruction(self, instruction: str) -> np.ndarray:
-        """Detached text token values for caching across a streaming session."""
-        ids = tokenize_text(instruction, self.cfg.text_len)
+    def encode_instructions(self, instructions: Sequence[str]) -> np.ndarray:
+        """Detached (B, L, d) text token values, one row per instruction,
+        for caching across a streaming session."""
+        ids = np.stack([tokenize_text(s, self.cfg.text_len) for s in instructions])
         with self.tape.no_record():
-            return self.text(ids[None]).value[0]
+            return self.text(ids).value
 
     def encode_current(self, frames: Optional[np.ndarray], hands: Sequence[list]):
         """(B, n, d) visual+hand tokens on the tape (None when both
@@ -149,30 +147,25 @@ class ForecastModel:
         self,
         frames: Optional[np.ndarray],
         hands: Sequence[list],
-        queues: Sequence[MemoryQueue],
+        queue: MemoryQueue,
         *,
         instruction_ids: Optional[np.ndarray] = None,
         instruction_values: Optional[np.ndarray] = None,
     ) -> DecodedStep:
         """Encode inputs, run the memory layer and enqueue, decode.
 
-        A batch is (B, R, R, 3) frames, B hand lists and one queue per
-        frame. Text enters either as (B, L) ids (re-encoded on the tape;
-        needed when training) or as cached detached (L, d) values shared
-        by the batch (streaming inference). Frames run through the memory
-        layer in batch order, each enqueueing before the next attends, so
-        frames that share a queue see each other as consecutive steps
-        would.
+        A batch is B streams at one step each: (B, R, R, 3) frames, B hand
+        lists and the queue of their windows, which the step reads, then
+        extends. Text enters either as (B, L) ids (re-encoded on the tape;
+        needed when training) or as cached detached values (streaming
+        inference), (B, L, d) or one (L, d) shared by the batch.
         """
         cfg = self.cfg
         e_t, mask = self.encode_current(frames, hands)
         aug = e_t
         if cfg.use_memory and e_t is not None:
-            rows = []
-            for j, queue in enumerate(queues):
-                rows.append(self.memory.forward(queue, e_t[j]))
-                queue.enqueue(e_t.value[j], mask[j])
-            aug = T.stack(rows)
+            aug = self.memory.forward(queue, e_t)
+            queue.enqueue(e_t.value, mask)
 
         f_parts: list[Tensor] = []
         if cfg.use_text:
@@ -192,7 +185,7 @@ class ForecastModel:
     # -- prediction -> hand states ---------------------------------------------
 
     def select_hands(self, decoded: DecodedStep) -> list[HandState]:
-        """One frame's hand states from its (Q, ·) heads, ``decoded.frame(j)``
+        """One stream's hand states from its (Q, ·) heads, ``decoded.frame(j)``
         of a batch. At most one state per hand type: the query with the
         highest class probability, emitted only when it clears
         ``confidence_threshold``. Ties break to the lower query index.

@@ -1,11 +1,13 @@
 """Streaming inference: sessions, rollouts, baselines, and correctness probes.
 
-A session consumes one frame per step and forecasts the next hand state,
-feeding back either its own prediction (self-feed) or the ground truth
-(oracle). ``batch_replay_check`` is the correctness oracle for the FIFO
-memory: it recomputes every step from scratch over the visible window and
-compares against the incremental stream. ``bench`` measures per-step cost
-and checks exactly that it stays constant over long streams.
+A session steps B independent streams in lockstep, one frame each, and
+forecasts each stream's next hand state, feeding back either its own
+prediction (self-feed) or the ground truth (oracle); ``rollout`` runs
+equal-length clips as its streams. ``batch_replay_check`` is the
+correctness oracle for the FIFO memory: it recomputes every step of every
+stream from scratch over the visible window and compares against the
+incremental streams. ``bench`` measures per-step cost and checks exactly
+that it stays constant over long streams.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -29,70 +31,76 @@ ORACLE = "oracle"
 
 @dataclass
 class StepRecord:
-    frame: np.ndarray
-    hands_in: list[HandState]
-    outputs: np.ndarray  # the step's (Q, ·) head values, stacked
+    frames: np.ndarray              # (B, R, R, 3)
+    hands_in: list[list[HandState]]
+    outputs: np.ndarray             # the step's (B, Q, ·) head values, stacked
 
 
 @dataclass
 class Session:
-    """One autoregressive stream over a single instruction."""
+    """B autoregressive streams, one instruction each, stepped in lockstep.
+    A single instruction string is one stream, stepped with one (R, R, 3)
+    frame and one hand list; B instructions take (B, R, R, 3) frames and B
+    hand lists, as ``prime`` takes B hand lists."""
 
     model: ForecastModel
-    instruction: str
+    instruction: Union[str, Sequence[str]]
     mode: str = SELF_FEED
     record: bool = False
-    last_states: list[HandState] = field(default_factory=list)
     trace: list[StepRecord] = field(default_factory=list)
 
     def __post_init__(self):
         if self.mode not in (SELF_FEED, ORACLE):
             raise UsageError(f"unknown session mode {self.mode!r}")
-        self.queue = self.model.new_queue()
-        self.instruction_values = (
-            self.model.encode_instruction(self.instruction)
-            if self.model.cfg.use_text
-            else None
-        )
+        self.single = isinstance(self.instruction, str)
+        instructions = [self.instruction] if self.single else list(self.instruction)
+        self.queue = self.model.new_queue(len(instructions))
+        self.last_states = [[] for _ in instructions]
+        self.instruction_values = (self.model.encode_instructions(instructions)
+                                   if self.model.cfg.use_text else None)
 
-    def prime(self, initial_states: list[HandState]) -> None:
-        """Provide the observed hand state for the first step."""
-        self.last_states = list(initial_states)
+    def prime(self, initial_states) -> None:
+        """Provide each stream's observed hand state for the first step."""
+        states = [initial_states] if self.single else initial_states
+        self.last_states = [list(s) for s in states]
 
-    def step(self, frame: np.ndarray, gt_hands: Optional[list[HandState]] = None) -> list[HandState]:
-        """Consume one frame, return the forecast hand states for the next."""
+    def step(self, frames: np.ndarray, gt_hands: Optional[list] = None):
+        """Consume one frame per stream, return each stream's forecast
+        hand states for the next."""
+        if self.single:
+            frames, gt_hands = frames[None], None if gt_hands is None else [gt_hands]
         if self.mode == ORACLE:
             if gt_hands is None:
                 raise UsageError("oracle mode requires ground-truth hand states")
-            hands_in = list(gt_hands)
+            hands_in = [list(h) for h in gt_hands]
         else:
-            hands_in = list(self.last_states)
+            hands_in = self.last_states
         tape = self.model.tape
         tape.reset()
         with tape.no_record():
-            decoded = self.model.forward_step(
-                frame[None], [hands_in], [self.queue],
-                instruction_values=self.instruction_values,
-            ).frame(0)
-        preds = self.model.select_hands(decoded)
+            decoded = self.model.forward_step(frames, hands_in, self.queue,
+                                              instruction_values=self.instruction_values)
+            preds = [self.model.select_hands(decoded.frame(j)) for j in range(len(hands_in))]
         if self.record:
-            self.trace.append(StepRecord(frame, hands_in, decoded.stacked_values()))
+            self.trace.append(StepRecord(frames, hands_in, decoded.stacked_values()))
         self.last_states = preds
-        return preds
+        return preds[0] if self.single else preds
 
 
-def rollout(model: ForecastModel, clip: ClipSample, mode: str = SELF_FEED,
+def rollout(model: ForecastModel, clips: list[ClipSample], mode: str = SELF_FEED,
             record: bool = False):
-    """Forecast frames 2..T from frames 1..T-1; returns (per-frame states,
-    session). Scoring is left to the caller."""
-    if clip.num_frames < 2:
-        raise UsageError("rollout needs a clip with at least 2 frames")
-    session = Session(model, clip.instruction, mode=mode, record=record)
-    session.prime(clip.gt[0])
-    forecasts = []
-    for i in range(clip.num_frames - 1):
-        forecasts.append(session.step(clip.frames[i], gt_hands=clip.gt[i]))
-    return forecasts, session
+    """Forecast frames 2..T from frames 1..T-1 of equal-length clips, each
+    clip one stream of a lockstep session; returns (each clip's per-frame
+    states, session). Scoring is left to the caller."""
+    lengths = {clip.num_frames for clip in clips}
+    if len(lengths) != 1 or min(lengths) < 2:
+        raise UsageError("rollout needs clips of one length, at least 2 frames")
+    session = Session(model, [clip.instruction for clip in clips], mode=mode, record=record)
+    session.prime([clip.gt[0] for clip in clips])
+    frames = np.stack([clip.frames for clip in clips], axis=1)  # (T, B, R, R, 3)
+    steps = [session.step(frames[i], [clip.gt[i] for clip in clips])
+             for i in range(len(frames) - 1)]
+    return [list(forecasts) for forecasts in zip(*steps)], session
 
 
 def static_baseline(clip: ClipSample):
@@ -102,30 +110,33 @@ def static_baseline(clip: ClipSample):
     return [list(clip.gt[0]) for _ in range(clip.num_frames - 1)]
 
 
-def batch_replay_check(model: ForecastModel, clip: ClipSample, mode: str = SELF_FEED) -> float:
-    """Max |streaming - from-scratch| over all steps of a clip.
+def batch_replay_check(model: ForecastModel, clips, mode: str = SELF_FEED) -> float:
+    """Max |streaming - from-scratch| over all steps of all streams of a
+    lockstep rollout of ``clips`` (one clip, or a list of equal-length
+    clips).
 
-    Every step t is recomputed by re-encoding the window of frames the
+    Every step t is recomputed by re-encoding the window of steps the
     queue could have seen, rebuilding the queue, and decoding once. The
     recorded per-step inputs (frames and fed-back hand states) are reused
     so both computations see identical inputs. The replayed step enqueues
     into its fresh queue, which is then dropped.
     """
-    _, session = rollout(model, clip, mode=mode, record=True)
+    clips = [clips] if isinstance(clips, ClipSample) else clips
+    _, session = rollout(model, clips, mode=mode, record=True)
     n = model.cfg.memory_size
     worst = 0.0
     with model.tape.no_record():
         for t, rec in enumerate(session.trace):
-            fresh = model.new_queue()
+            fresh = model.new_queue(len(clips))
             if model.cfg.use_memory and model.cfg.memory_token_count():
                 for past in session.trace[max(0, t - n):t]:
-                    e_t, mask = model.encode_current(past.frame[None], [past.hands_in])
-                    fresh.enqueue(e_t.value[0], mask[0])
+                    e_t, mask = model.encode_current(past.frames, past.hands_in)
+                    fresh.enqueue(e_t.value, mask)
             decoded = model.forward_step(
-                rec.frame[None], [rec.hands_in], [fresh],
+                rec.frames, rec.hands_in, fresh,
                 instruction_values=session.instruction_values,
             )
-            diff = np.abs(decoded.stacked_values()[0] - rec.outputs)
+            diff = np.abs(decoded.stacked_values() - rec.outputs)
             worst = max(worst, float(diff.max()) if diff.size else 0.0)
     return worst
 

@@ -363,26 +363,29 @@ def attend(q: Tensor, k, v, heads: int, bias=None) -> Tensor:
     kh = kval.reshape(kv_heads).swapaxes(-2, -3)
     vh = vval.reshape(kv_heads).swapaxes(-2, -3)
     scale = np.asarray(1.0 / np.sqrt(dh), dtype=tape.dtype)
-    scores = (qh @ kh.swapaxes(-1, -2)) * scale
+    scores = (qh @ kh.swapaxes(-1, -2)) * scale  # the softmax runs in place on it
     if bias is not None:
         scores = scores + bias.value
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    val = _merge_heads(s @ vh, d)
+    scores -= scores.max(axis=-1, keepdims=True)
+    s = np.exp(scores, out=scores)
+    s /= s.sum(axis=-1, keepdims=True)
+    heads_out = s @ vh
+    val = _merge_heads(heads_out, d)
 
     def bwd(g):
         go = g.reshape(g.shape[:-1] + (heads, dh)).swapaxes(-2, -3)
-        gs = go @ vh.swapaxes(-1, -2)
-        gscores = s * (gs - (gs * s).sum(axis=-1, keepdims=True))
+        # softmax backward; row i of (go @ vh^T) * s sums to go_i . heads_out_i
+        gscores = go @ vh.swapaxes(-1, -2)
+        gscores -= (go * heads_out).sum(axis=-1, keepdims=True)
+        gscores *= s
         if bias is not None and _live(bias):
             _acc(bias, _unbroadcast(gscores, bias.value.shape))
-        graw = gscores * scale
         if _live(v):
             _acc(v, _unbroadcast(_merge_heads(s.swapaxes(-1, -2) @ go, d), ks))
         if _live(k):
-            _acc(k, _unbroadcast(_merge_heads(graw.swapaxes(-1, -2) @ qh, d), ks))
+            _acc(k, _unbroadcast(_merge_heads(gscores.swapaxes(-1, -2) @ qh, d) * scale, ks))
         if _live(q):
-            _acc(q, _unbroadcast(_merge_heads(graw @ kh, d), qs))
+            _acc(q, _unbroadcast(_merge_heads(gscores @ kh, d) * scale, qs))
 
     return _record(tape, val, bwd)
 
@@ -410,20 +413,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             _acc(t, g[tuple(idx)])
 
     return _record(tape, val, bwd)
-
-
-def stack(tensors: Sequence[Tensor]) -> Tensor:
-    """Join equal-shape tensors along a new leading axis."""
-    if not tensors:
-        raise UsageError("stack of an empty sequence")
-    tape = tensors[0].tape
-    tensors = [_lift(tape, t) for t in tensors]
-
-    def bwd(g):
-        for t, gt in zip(tensors, g):
-            _acc(t, gt)
-
-    return _record(tape, np.stack([t.value for t in tensors]), bwd)
 
 
 def _is_basic_key(key) -> bool:

@@ -1,18 +1,19 @@
 """Teacher-forced training with adaptive moments and decoupled weight decay.
 
-One optimizer update consumes the next ``cfg.batch`` frames of a stream
-of clip visits in shuffled epoch order; the memory queue rolls through a
-visit's frames, across update boundaries, and starts empty at each visit.
-The update's B frames run as one batched forward (the memory layer steps
-through them in order, so a visit boundary inside the batch starts a
-fresh queue) into one batched loss, the mean of the per-frame losses, and
-one backward gives the update's gradients. Training is single-threaded
-and fully deterministic under a fixed seed.
+A batch is ``cfg.batch`` independent streams that share one memory queue.
+The streams are dealt clip visits in shuffled epoch order (clips of fewer
+than 2 frames are skipped), and each advances one frame per update; its
+window rolls through its visit across update boundaries, and a stream
+that finishes a visit starts the next one with an empty window. An
+update's B frames run as one batched forward into one batched loss, the
+mean of the per-stream losses, and one backward gives the update's
+gradients. Training is single-threaded and fully deterministic under a
+fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,77 +97,70 @@ def lr_at(cfg: Config, update: int, total: int) -> float:
     return float(cfg.learning_rate * (floor + (1 - floor) * 0.5 * (1 + np.cos(np.pi * frac))))
 
 
-def _frames(model: ForecastModel, clips: list[ClipSample], rng: np.random.Generator):
-    """Endless (clip, frame index, queue) over clip visits in shuffled epoch
-    order; each visit starts from an empty queue."""
+def _visits(clips: list[ClipSample], rng: np.random.Generator):
+    """Endless clip visits in shuffled epoch order, skipping clips with
+    fewer than 2 frames."""
     while True:
         for ci in rng.permutation(len(clips)):
-            queue = model.new_queue()
-            for i in range(clips[ci].num_frames - 1):
-                yield clips[ci], i, queue
+            if clips[ci].num_frames >= 2:
+                yield clips[ci]
 
 
-def _sample_inputs(model: ForecastModel, batch, hands: list, rng: np.random.Generator,
-                   last_pred: list) -> list:
-    """Scheduled sampling: with probability ``cfg.scheduled_sampling``, a
-    frame past its visit's first takes the previous frame's forecast as its
-    hand input (``hands`` is updated in place). The forecasts come from a
-    no-record pass over the batch in order, on copies of its queues.
-    Returns the last frame's forecast, which the next update may feed."""
-    copies: dict[int, MemoryQueue] = {}
-    with model.tape.no_record():
-        for j, (clip, i, queue) in enumerate(batch):
-            if i > 0 and rng.random() < model.cfg.scheduled_sampling:
-                hands[j] = last_pred
-            q = copies.setdefault(id(queue), replace(queue, entries=list(queue.entries)))
-            ids = tokenize_text(clip.instruction, model.cfg.text_len)
-            decoded = model.forward_step(clip.frames[i:i + 1], [hands[j]], [q],
-                                         instruction_ids=ids[None])
-            last_pred = model.select_hands(decoded.frame(0))
-    return last_pred
-
-
-def batch_loss(model: ForecastModel, batch, hands: list):
-    """One recorded forward over ``batch``, a list of (clip, frame index,
-    queue) whose frames take ``hands`` as input, into one ``composite_loss``
-    against each frame's next ground truth. Returns the loss, which is the
-    mean of the per-frame losses, and its breakdown."""
+def batch_loss(model: ForecastModel, streams, hands: list, queue: MemoryQueue):
+    """One recorded forward over ``streams``, a list of (clip, frame index)
+    whose frames take ``hands`` as input and whose windows ``queue``
+    holds, into one ``composite_loss`` against each stream's next ground
+    truth. Returns the loss, which is the mean of the per-stream losses,
+    its breakdown, and the decoded heads."""
     cfg = model.cfg
     decoded = model.forward_step(
-        np.stack([clip.frames[i] for clip, i, _ in batch]), hands,
-        [queue for _, _, queue in batch],
+        np.stack([clip.frames[i] for clip, i in streams]), hands, queue,
         instruction_ids=np.stack([tokenize_text(clip.instruction, cfg.text_len)
-                                  for clip, _, _ in batch]),
+                                  for clip, _ in streams]),
     )
-    return composite_loss(decoded, [clip.gt[i + 1] for clip, i, _ in batch], cfg)[:2]
+    loss, breakdown, _ = composite_loss(decoded, [clip.gt[i + 1] for clip, i in streams], cfg)
+    return loss, breakdown, decoded
 
 
 def train(model: ForecastModel, clips: list[ClipSample], *,
           steps: Optional[int] = None,
           on_record: Optional[Callable[[LossRecord], None]] = None) -> list[LossRecord]:
-    """Run teacher-forced training; returns one loss record per update."""
+    """Run teacher-forced training; returns one loss record per update.
+
+    With probability ``cfg.scheduled_sampling``, a stream past its visit's
+    first frame takes its previous forecast as its hand input: the
+    ``select_hands`` of its heads in the last update."""
     cfg = model.cfg
     if not any(c.num_frames >= 2 for c in clips):
         raise UsageError("training needs at least one clip of 2 or more frames")
     total_updates = cfg.steps if steps is None else steps
     optimizer = AdamW(model, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    frames = _frames(model, clips, np.random.default_rng(cfg.seed))
+    visits = _visits(clips, np.random.default_rng(cfg.seed))
     sample_rng = np.random.default_rng(cfg.seed + 1)
-    last_pred: list = []  # the previous frame's forecast, for scheduled sampling
+    streams = [(next(visits), 0) for _ in range(cfg.batch)]  # (clip, frame index)
+    queue = model.new_queue(cfg.batch)
+    decoded = None  # the last update's heads, for scheduled sampling
 
     records: list[LossRecord] = []
     for update in range(total_updates):
-        batch = [next(frames) for _ in range(cfg.batch)]
-        hands = [list(clip.gt[i]) for clip, i, _ in batch]
+        hands = [list(clip.gt[i]) for clip, i in streams]
         if cfg.scheduled_sampling > 0:
-            last_pred = _sample_inputs(model, batch, hands, sample_rng, last_pred)
+            with model.tape.no_record():
+                for b, (_, i) in enumerate(streams):
+                    if i > 0 and sample_rng.random() < cfg.scheduled_sampling:
+                        hands[b] = model.select_hands(decoded.frame(b))
         model.tape.reset()
-        loss, breakdown = batch_loss(model, batch, hands)
+        loss, breakdown, decoded = batch_loss(model, streams, hands, queue)
         _check_finite(breakdown, update + 1)
         rec = LossRecord(step=update + 1, **breakdown)
         optimizer.lr = lr_at(cfg, update, total_updates)
         optimizer.step(model.tape.backward(loss))
         records.append(rec)
+        for b, (clip, i) in enumerate(streams):
+            streams[b] = (clip, i + 1)
+            if i + 2 == clip.num_frames:  # the visit is done: deal the next
+                streams[b] = (next(visits), 0)
+                queue.restart(b)
         if on_record:
             on_record(rec)
     return records

@@ -11,9 +11,11 @@ import pytest
 from sfhand.checkpoint import load_checkpoint, restore_model, save_checkpoint
 from sfhand.cli import ABLATIONS, main
 from sfhand.config import Config
-from sfhand.data import generate_synthetic
+from sfhand.data import generate_synthetic, write_clipfile
 from sfhand.errors import DataFormatError, TruncationError, VersionError
+from sfhand.metrics import MetricAccumulator
 from sfhand.model import ForecastModel
+from sfhand.stream import rollout
 from sfhand.train import train
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
@@ -88,6 +90,30 @@ def test_cli_eval_ablations_set_their_config_field(tmp_path, capsys):
         assert row["config"][field] == value
         untouched = {f for f, _ in expected.values()} - {field}
         assert all(row["config"][f] == Config().to_dict()[f] for f in untouched)
+
+
+@pytest.mark.parametrize("mode", ("self", "oracle"))
+def test_cli_eval_of_mixed_lengths_equals_pooled_single_clip_reports(tmp_path, mode):
+    # 4- and 6-frame clips interleaved: each length runs as one lockstep
+    # batch, and the report equals one rollout per clip pooled in file order
+    four = generate_synthetic(8, "reach", 2, frames=4, raster=16, pose_dim=6)
+    six = generate_synthetic(9, "two_hands", 2, frames=6, raster=16, pose_dim=6)
+    clips = [four[0], six[0], six[1], four[1]]
+    data = str(tmp_path / "mixed")
+    write_clipfile(clips, data)
+    cfg = Config(**TINY, confidence_threshold=0.0)  # every step emits both hands
+    ckpt = save_checkpoint(tmp_path / "model.ckpt", cfg,
+                           ForecastModel(cfg).tape.param_values(), step=0)
+    out = tmp_path / "report.json"
+    assert main(["eval", "--data", data, "--checkpoint", str(ckpt), "--mode", mode,
+                 "--out", str(out)]) == 0
+    model, _ = restore_model(ckpt)
+    acc = MetricAccumulator()
+    for clip in clips:
+        acc.add_clip(rollout(model, [clip], mode=mode)[0][0], clip.gt[1:], clip.gt_joints[1:])
+    expected = acc.report().to_dict()
+    assert expected["hands"] > 0
+    assert json.loads(out.read_text())["report"] == expected
 
 
 def test_cli_eval_static_row_has_no_config(tmp_path):

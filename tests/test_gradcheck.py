@@ -8,7 +8,7 @@ import pytest
 from sfhand import tensor as T
 from sfhand.config import MEMORY_MODES, Config
 from sfhand.data import generate_synthetic
-from sfhand.encoders import tokenize_text
+from sfhand.encoders import BOS_ID, PAD_ID, tokenize_text
 from sfhand.gradcheck import grad_check
 from sfhand.matching import composite_loss
 from sfhand.model import ForecastModel
@@ -246,24 +246,29 @@ def test_whole_model_through_composite_loss(memory_mode):
                  memory_mode=memory_mode)
     clip = generate_synthetic(5, "two_hands", 1, frames=4, raster=16, pose_dim=6)[0]
     model = ForecastModel(cfg)
-    # three frames, the first and last sharing an instruction, so the text
-    # encoder's gather adds two frames' gradients into one encoding
+    # three streams at frames 0, 1 and 2, the first and last sharing an
+    # instruction, so the text encoder's gather adds two streams' gradients
+    # into one encoding; "up" is short enough to leave a PAD
     ids = np.stack([tokenize_text(s, cfg.text_len)
-                    for s in (clip.instruction, "wave", clip.instruction)])
-    assert len(np.unique(ids, axis=0)) == 2
-    # frozen queue: detached past steps, so every gradient ends at this
-    # update; each frame steps on its own copy, since a step enqueues
-    frozen = model.new_queue()
-    e_t, mask = model.encode_current(clip.frames[:2], clip.gt[:2])
-    for i in range(2):
-        frozen.enqueue(e_t.value[i], mask[i])
+                    for s in (clip.instruction, "up", clip.instruction)])
+    assert len(np.unique(ids, axis=0)) == 2 and (ids == PAD_ID).any()
+    # frozen queue of detached past steps, so every gradient ends at this
+    # update: stream b's window holds its b previous frames, behind an
+    # entry of frame 3 that stream 1 must not see; stream 0's window is
+    # empty. Each loss steps a copy of it, since a step enqueues.
+    frozen = model.new_queue(3)
+    for k, window_frames in enumerate(([3, 3, 0], [3, 0, 1])):
+        e_t, mask = model.encode_current(clip.frames[window_frames],
+                                         [clip.gt[j] for j in window_frames])
+        frozen.enqueue(e_t.value, mask)
+        frozen.restart(1 - k)
+    assert frozen.window.tolist() == [0, 1, 2]
 
     def loss_at(params):
         for name, value in params.items():
             model.tape.set_param(name, value)
         model.tape.reset()
-        queues = [copy.deepcopy(frozen) for _ in range(3)]
-        decoded = model.forward_step(clip.frames[:3], clip.gt[:3], queues,
+        decoded = model.forward_step(clip.frames[:3], clip.gt[:3], copy.deepcopy(frozen),
                                      instruction_ids=ids)
         return composite_loss(decoded, clip.gt[1:4], cfg)[0]
 
@@ -276,4 +281,20 @@ def test_whole_model_through_composite_loss(memory_mode):
     # the same relative bound.
     report = grad_check(lambda p: (loss_at(p).item(), grads), params,
                         max_coords_per_param=3)
+    assert report.max_rel_err <= 1e-4, f"\n{report}"
+
+    # random coordinates of text.embed fall on rows no id selects, whose
+    # gradient is 0; probe every coordinate of the rows the ids select:
+    # BOS, an instruction byte and PAD
+    rows = [BOS_ID, int(ids[0, 1]), PAD_ID]
+    embed = params["text.embed"]
+
+    def rows_loss(p):
+        table = embed.copy()
+        table[rows] = p["rows"]
+        return loss_at({**params, "text.embed": table}).item(), {"rows": grads["text.embed"][rows]}
+
+    assert (np.abs(grads["text.embed"][rows]).max(axis=1) > 0).all()
+    report = grad_check(rows_loss, {"rows": embed[rows]}, max_coords_per_param=len(rows) * cfg.d)
+    assert report.total_checked == len(rows) * cfg.d
     assert report.max_rel_err <= 1e-4, f"\n{report}"

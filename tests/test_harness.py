@@ -1,7 +1,9 @@
-"""Held-out evaluation: one serial loop that scores each clip once."""
+"""Held-out evaluation: equal-length clips run as one lockstep batch, and
+each clip is scored once, in input order."""
 
 import math
 
+import numpy as np
 import pytest
 
 from sfhand.config import Config
@@ -21,14 +23,21 @@ CLIPS = (generate_synthetic(5, "reach", 2, frames=4, raster=16, pose_dim=6)
 
 @pytest.mark.parametrize("mode", (SELF_FEED, ORACLE))
 def test_report_equals_one_accumulator_over_rollouts(mode):
-    model = ForecastModel(Config(**TINY))
-    acc = MetricAccumulator()
-    for clip in CLIPS:
-        forecasts, _ = rollout(model, clip, mode=mode)
-        acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
-    expected = acc.report()
-    assert expected.hands > 0
-    assert evaluate_model(model, CLIPS, mode).to_dict() == expected.to_dict()
+    # the three equal-length clips run as one three-stream batch, and the
+    # report equals pooling one single-clip rollout per clip exactly. The
+    # background logit sits 4 below the hand logits, so at threshold 0.5
+    # some steps emit hands and some do not.
+    for threshold in (0.0, 0.5):
+        model = ForecastModel(Config(**TINY).replace(confidence_threshold=threshold))
+        model.tape.set_param("decoder.head_type.b", np.array([1.0, 1.0, -3.0]))
+        acc = MetricAccumulator()
+        for clip in CLIPS:
+            forecasts = rollout(model, [clip], mode=mode)[0][0]
+            acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
+        expected = acc.report()
+        assert 0 < expected.hands
+        assert threshold == 0.0 or expected.hands < 2 * expected.frames
+        assert evaluate_model(model, CLIPS, mode) == expected
 
 
 @pytest.mark.parametrize("mode", (SELF_FEED, "static"))

@@ -158,38 +158,58 @@ class TestRoiMask:
 
 
 class TestQueue:
-    def make(self, capacity=3):
-        return MemoryQueue(capacity=capacity, token_count=4, dim=8)
+    def make(self, capacity=3, streams=2):
+        return MemoryQueue(capacity=capacity, token_count=4, dim=8, streams=streams)
 
-    def entry(self, fill):
-        return np.full((4, 8), float(fill)), np.array([1, 0, 0, 1])
+    def entry(self, fill, streams=2):
+        return np.full((streams, 4, 8), float(fill)), np.tile([1, 0, 0, 1], (streams, 1))
 
     def test_fifo_eviction(self):
         q = self.make(3)
         for i in range(1, 5):
             q.enqueue(*self.entry(i))
         assert len(q) == 3
-        assert [e.embedding[0, 0] for e in q.entries] == [2.0, 3.0, 4.0]
+        assert [e.embedding[1, 0, 0] for e in q.entries] == [2.0, 3.0, 4.0]
+        assert q.entries[0].embedding.shape == (2, 4, 8)
+        assert q.entries[0].roi_mask.shape == (2, 4)
 
     def test_push_onto_empty(self):
         q = self.make()
         q.enqueue(*self.entry(1))
         assert len(q) == 1
+        npt.assert_array_equal(q.window, [1, 1])
 
     def test_capacity_bound_many_pushes(self):
         q = self.make(3)
         for i in range(1000):
             q.enqueue(*self.entry(i))
         assert len(q) == 3
+        npt.assert_array_equal(q.window, [3, 3])
+
+    def test_restart_empties_one_window_and_keeps_the_entries(self):
+        q = self.make(3, streams=3)
+        for i in range(2):
+            q.enqueue(*self.entry(i, streams=3))
+        q.restart(1)
+        assert len(q) == 2
+        npt.assert_array_equal(q.window, [2, 0, 2])
+        for i in range(2, 5):
+            q.enqueue(*self.entry(i, streams=3))
+            assert q.window[1] == i - 1
+        npt.assert_array_equal(q.window, [3, 3, 3])
 
     def test_layout_mismatch(self):
         q = self.make()
         with pytest.raises(DimensionError):
-            q.enqueue(np.zeros((5, 8)), np.zeros(5))
+            q.enqueue(np.zeros((2, 5, 8)), np.zeros((2, 5)))
         with pytest.raises(DimensionError):
-            q.enqueue(np.zeros((4, 8)), np.zeros(3))
+            q.enqueue(np.zeros((2, 4, 8)), np.zeros((2, 3)))
+        with pytest.raises(DimensionError):  # one stream's entry in a queue of two
+            q.enqueue(np.zeros((1, 4, 8)), np.zeros((1, 4)))
         with pytest.raises(UsageError):
-            q.enqueue(np.zeros((4, 8)), np.full(4, 0.5))
+            q.enqueue(np.zeros((2, 4, 8)), np.full((2, 4), 0.5))
+        with pytest.raises(UsageError):
+            MemoryQueue(capacity=3, token_count=4, dim=8, streams=0)
 
 
 class LayerFixture:
@@ -206,18 +226,25 @@ class LayerFixture:
         self.rng = np.random.default_rng(seed)
         self.tok = self.cfg.memory_token_count()
 
-    def queue_with(self, n_entries, mask=None):
-        q = MemoryQueue(capacity=self.cfg.memory_size, token_count=self.tok, dim=8)
+    def queue_with(self, n_entries, mask=None, streams=1):
+        q = MemoryQueue(capacity=self.cfg.memory_size, token_count=self.tok, dim=8,
+                        streams=streams)
         for _ in range(n_entries):
-            m = self.rng.integers(0, 2, self.tok) if mask is None else mask
-            q.enqueue(self.rng.normal(0, 1, (self.tok, 8)), m)
+            m = self.rng.integers(0, 2, (streams, self.tok)) if mask is None else mask
+            q.enqueue(self.rng.normal(0, 1, (streams, self.tok, 8)), m)
         return q
 
-    def tokens(self):
-        return self.tape.constant(self.rng.normal(0, 1, (self.tok, 8)))
+    def tokens(self, streams=1):
+        return self.tape.constant(self.rng.normal(0, 1, (streams, self.tok, 8)))
 
     def set_alpha(self, v):
         self.tape.set_param("memory.alpha", np.asarray(float(v)))
+
+
+def flat_keys(queue, stream=0):
+    """Stream ``stream``'s (L·n, d) keys and (L·n,) masks, oldest first."""
+    return (np.concatenate([e.embedding[stream] for e in queue.entries]),
+            np.concatenate([e.roi_mask[stream] for e in queue.entries]))
 
 
 def outputs_by_mode(modes, seed, alpha, entries):
@@ -245,17 +272,17 @@ class TestMemoryForward:
         f = LayerFixture(mode=OFF)
         q = MemoryQueue(capacity=4, token_count=f.tok, dim=8)
         row = f.rng.normal(0, 1, 8)
-        q.enqueue(np.tile(row, (f.tok, 1)), np.zeros(f.tok))
+        q.enqueue(np.tile(row, (1, f.tok, 1)), np.zeros((1, f.tok)))
         e = f.tokens()
         out = f.layer.forward(q, e)
-        npt.assert_allclose(out.value - e.value, np.tile(row, (f.tok, 1)), atol=1e-12)
+        npt.assert_allclose(out.value - e.value, np.tile(row, (1, f.tok, 1)), atol=1e-12)
 
     def test_literal_mode_equals_off_for_any_alpha(self):
         # alpha times a mask over query rows, broadcast along each row, is
         # a constant per softmax row, so it cannot move the attention
         f = LayerFixture(seed=1)
-        kv = f.queue_with(3).flat_keys(np.float64)
-        e = f.tokens()
+        kv = flat_keys(f.queue_with(3))[0]
+        e = f.tokens()[0]
         q_mask = f.rng.integers(0, 2, (f.tok, 1)).astype(np.float64)
         off = T.attend(e, kv, kv, f.cfg.memory_heads).value
         for alpha in (0.0, 1.0, 10.0, 50.0):
@@ -269,27 +296,26 @@ class TestMemoryForward:
     def test_key_broadcast_concentrates_on_single_masked_key(self):
         f = LayerFixture(seed=3, mode=KEY_BROADCAST)
         f.set_alpha(50.0)
-        mask = np.zeros(f.tok, dtype=np.uint8)
-        mask[1] = 1  # exactly one masked key token in the single entry
+        mask = np.zeros((1, f.tok), dtype=np.uint8)
+        mask[0, 1] = 1  # exactly one masked key token in the single entry
         q = f.queue_with(1, mask=mask)
         e = f.tokens()
         out = f.layer.forward(q, e)
         # reconstruct attention weights directly from the softmax oracle
-        keys = q.flat_keys(np.float64)
-        scores = (e.value @ keys.T) / np.sqrt(8) + 50.0 * q.flat_masks()
+        keys, masks = flat_keys(q)
+        scores = (e.value[0] @ keys.T) / np.sqrt(8) + 50.0 * masks
         w = np.exp(scores - scores.max(1, keepdims=True))
         w /= w.sum(1, keepdims=True)
         assert w[:, 1].min() >= 0.999
-        npt.assert_allclose(out.value, e.value + w @ keys, atol=1e-10)
+        npt.assert_allclose(out.value[0], e.value[0] + w @ keys, atol=1e-10)
 
     def test_key_broadcast_monotone_in_alpha(self):
         f = LayerFixture(seed=4)
-        mask = np.zeros(f.tok, dtype=np.uint8)
-        mask[0] = 1
+        mask = np.zeros((1, f.tok), dtype=np.uint8)
+        mask[0, 0] = 1
         q = f.queue_with(2, mask=mask)
-        e = f.tokens().value
-        keys = q.flat_keys(np.float64)
-        masks = q.flat_masks()
+        e = f.tokens().value[0]
+        keys, masks = flat_keys(q)
         prev = None
         for alpha in (0.0, 0.5, 1.0, 2.0, 5.0):
             scores = (e @ keys.T) / np.sqrt(8) + alpha * masks
@@ -307,7 +333,9 @@ class TestMemoryForward:
             Config.from_json('{"memory_mode": "query_broadcast_literal"}')
         f = LayerFixture()
         with pytest.raises(DimensionError):
-            f.layer.forward(f.queue_with(1), f.tape.constant(np.zeros((f.tok - 1, 8))))
+            f.layer.forward(f.queue_with(1), f.tape.constant(np.zeros((1, f.tok - 1, 8))))
+        with pytest.raises(DimensionError):  # two streams' tokens, a queue of one
+            f.layer.forward(f.queue_with(1), f.tokens(streams=2))
 
     def test_alpha_preserved_across_reset(self):
         f = LayerFixture()
@@ -323,4 +351,28 @@ class TestMemoryForward:
                      text_len=4, memory_size=4, memory_heads=2)
         f = LayerFixture(seed=5, cfg=cfg)
         out = f.layer.forward(f.queue_with(2), f.tokens())
-        assert out.value.shape == (f.tok, 8)
+        assert out.value.shape == (1, f.tok, 8)
+
+    @pytest.mark.parametrize("mode", (KEY_BROADCAST, OFF))
+    def test_each_stream_reads_only_its_window(self, mode):
+        # streams whose visits restarted at different steps: each stream's
+        # row equals a one-stream read of a queue holding only its window,
+        # and a stream with an empty window passes its tokens through
+        f = LayerFixture(seed=6, mode=mode)
+        f.set_alpha(2.0)
+        q = f.queue_with(4, streams=4)
+        q.restart(1)
+        q.restart(2)
+        q.enqueue(f.rng.normal(0, 1, (4, f.tok, 8)), f.rng.integers(0, 2, (4, f.tok)))
+        q.restart(2)
+        q.restart(3)
+        npt.assert_array_equal(q.window, [4, 1, 0, 0])
+        e = f.tokens(streams=4)
+        out = f.layer.forward(q, e).value
+        for b, w in enumerate(q.window):
+            alone = MemoryQueue(capacity=4, token_count=f.tok, dim=8)
+            for entry in q.entries[len(q) - w:]:
+                alone.enqueue(entry.embedding[b:b + 1], entry.roi_mask[b:b + 1])
+            want = f.layer.forward(alone, f.tape.constant(e.value[b:b + 1])).value[0]
+            npt.assert_allclose(out[b], want, rtol=0, atol=1e-12)
+        npt.assert_array_equal(out[2:], e.value[2:])

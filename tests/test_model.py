@@ -30,7 +30,7 @@ def run_step(model, frame=None, hands=(), queue=None, **kw):
     frame = np.zeros((model.cfg.raster, model.cfg.raster, 3)) if frame is None else frame
     queue = model.new_queue() if queue is None else queue
     ids = tokenize_text("grab the cup", model.cfg.text_len)
-    return model.forward_step(frame[None], [list(hands)], [queue], instruction_ids=ids[None],
+    return model.forward_step(frame[None], [list(hands)], queue, instruction_ids=ids[None],
                               **kw)
 
 
@@ -73,24 +73,24 @@ class TestForwardStep:
     def test_token_counts_default_and_ablation(self):
         frames, ids = np.zeros((1, 16, 16, 3)), tokenize_text("x", 8)[None]
         m = ForecastModel(tiny_cfg())
-        shape = decoded_token_shape(m, frames, [[]], [m.new_queue()], instruction_ids=ids)
+        shape = decoded_token_shape(m, frames, [[]], m.new_queue(), instruction_ids=ids)
         assert shape == (1, 8 + 4 + 2, 16)  # text + visual + hand
 
         m2 = ForecastModel(tiny_cfg(use_text=False))
-        assert decoded_token_shape(m2, frames, [[]], [m2.new_queue()]) == (1, 4 + 2, 16)
+        assert decoded_token_shape(m2, frames, [[]], m2.new_queue()) == (1, 4 + 2, 16)
 
         m3 = ForecastModel(tiny_cfg(use_hand=False))
-        shape = decoded_token_shape(m3, frames, [[]], [m3.new_queue()], instruction_ids=ids)
+        shape = decoded_token_shape(m3, frames, [[]], m3.new_queue(), instruction_ids=ids)
         assert shape == (1, 8 + 4, 16)
 
         m4 = ForecastModel(tiny_cfg(use_video=False))
-        shape = decoded_token_shape(m4, None, [[state(HandType.LEFT)]], [m4.new_queue()],
+        shape = decoded_token_shape(m4, None, [[state(HandType.LEFT)]], m4.new_queue(),
                                     instruction_ids=ids)
         assert shape == (1, 8 + 2, 16)
 
     def test_default_config_f_me_is_82(self):
         m = ForecastModel(Config(decoder_layers=1, text_layers=1, hand_layers=1))
-        shape = decoded_token_shape(m, np.zeros((1, 64, 64, 3)), [[]], [m.new_queue()],
+        shape = decoded_token_shape(m, np.zeros((1, 64, 64, 3)), [[]], m.new_queue(),
                                     instruction_ids=tokenize_text("x", 16)[None])
         assert shape == (1, 82, 64)
 
@@ -117,22 +117,36 @@ class TestForwardStep:
         assert len(q) == 1
         # the enqueued entry is the pre-augmentation embedding and its mask
         e_t, mask = m.encode_current(frame[None], [hands])
-        npt.assert_array_equal(q.entries[0].embedding, e_t.value[0])
-        npt.assert_array_equal(q.entries[0].roi_mask, mask[0])
+        npt.assert_array_equal(q.entries[0].embedding, e_t.value)
+        npt.assert_array_equal(q.entries[0].roi_mask, mask)
 
     def test_text_required_when_enabled(self):
         m = ForecastModel(tiny_cfg())
         with pytest.raises(UsageError):
-            m.forward_step(np.zeros((1, 16, 16, 3)), [[]], [m.new_queue()])
+            m.forward_step(np.zeros((1, 16, 16, 3)), [[]], m.new_queue())
 
     def test_cached_instruction_matches_fresh_encoding(self):
+        # cached values are one (B, L, d) row per stream, or one shared (L, d)
         m = ForecastModel(tiny_cfg(seed=5))
-        cached = m.encode_instruction("lift the lid")
         frames = np.random.default_rng(2).uniform(0, 1, (2, 16, 16, 3))
-        a = m.forward_step(frames, [[], []], [m.new_queue(), m.new_queue()],
+        a = m.forward_step(frames, [[], []], m.new_queue(2),
                            instruction_ids=np.stack([tokenize_text("lift the lid", 8)] * 2))
-        b = m.forward_step(frames, [[], []], [m.new_queue(), m.new_queue()],
-                           instruction_values=cached)
+        cached = m.encode_instructions(["lift the lid"] * 2)
+        assert cached.shape == (2, 8, 16)
+        b = m.forward_step(frames, [[], []], m.new_queue(2), instruction_values=cached)
+        npt.assert_allclose(a.stacked_values(), b.stacked_values(), atol=1e-12)
+        c = m.forward_step(frames, [[], []], m.new_queue(2), instruction_values=cached[0])
+        npt.assert_allclose(a.stacked_values(), c.stacked_values(), atol=1e-12)
+
+    def test_cached_distinct_instructions_match_fresh_encoding(self):
+        m = ForecastModel(tiny_cfg(seed=5))
+        texts = ["lift the lid", "wave"]
+        frames = np.random.default_rng(2).uniform(0, 1, (2, 16, 16, 3))
+        a = m.forward_step(frames, [[], []], m.new_queue(2),
+                           instruction_ids=np.stack([tokenize_text(t, 8) for t in texts]))
+        cached = m.encode_instructions(texts)
+        assert cached.shape == (2, 8, 16)
+        b = m.forward_step(frames, [[], []], m.new_queue(2), instruction_values=cached)
         npt.assert_allclose(a.stacked_values(), b.stacked_values(), atol=1e-12)
 
 
@@ -210,5 +224,5 @@ class TestSelectHands:
         m.tape.set_param(name, np.full(m.tape.params[name].value.shape, np.nan))
         clip = generate_synthetic(1, "two_hands", 1, frames=3, raster=16, pose_dim=6)[0]
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=head):
-            rollout(m, clip)
+            rollout(m, [clip])
 

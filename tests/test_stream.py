@@ -7,7 +7,8 @@ from sfhand.config import MEMORY_MODES, Config
 from sfhand.data import generate_synthetic
 from sfhand.memory import MemoryQueue
 from sfhand.model import ForecastModel
-from sfhand.stream import ORACLE, SELF_FEED, Session, batch_replay_check, bench
+from sfhand.errors import UsageError
+from sfhand.stream import ORACLE, SELF_FEED, Session, batch_replay_check, bench, rollout
 from sfhand.tensor import Tape
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
@@ -15,6 +16,8 @@ TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
 # 6 frames are 5 stream steps: with a queue of 2, the last two steps attend
 # to a queue that has evicted its oldest entries
 CLIP = generate_synthetic(3, "two_hands", 1, frames=6, raster=16, pose_dim=6)[0]
+# three streams of one lockstep batch, each with its own instruction
+CLIPS = [CLIP] + generate_synthetic(4, "reach", 2, frames=6, raster=16, pose_dim=6)
 
 CASES = [dict(memory_mode=mode) for mode in MEMORY_MODES] + [
     dict(use_memory=False), dict(use_text=False), dict(use_video=False),
@@ -28,9 +31,12 @@ CASE_IDS = ["-".join(f"{k}={v}" for k, v in case.items()) for case in CASES]
 def test_batch_replay_equals_stream_exactly(overrides, session_mode):
     # The stream is incremental and the replay recomputes each step from
     # scratch, through the same ops on the same inputs; any difference
-    # means the queue held something a fresh window would not.
+    # means the queue held something a fresh window would not. The
+    # check is the max over every stream of a batch, so 0.0 holds for
+    # each of the three streams.
     model = ForecastModel(Config(**TINY, **overrides))
     assert batch_replay_check(model, CLIP, mode=session_mode) == 0.0
+    assert batch_replay_check(model, CLIPS, mode=session_mode) == 0.0
 
 
 @pytest.mark.parametrize("session_mode", (SELF_FEED, ORACLE))
@@ -46,27 +52,40 @@ def test_batch_replay_catches_a_queue_that_never_evicts(monkeypatch, session_mod
     monkeypatch.setattr(MemoryQueue, "enqueue", never_evict)
     model = ForecastModel(Config(**TINY))
     assert batch_replay_check(model, CLIP, mode=session_mode) > 0.0
+    assert batch_replay_check(model, CLIPS, mode=session_mode) > 0.0
+
+
+def test_rollout_rejects_clips_of_different_lengths():
+    model = ForecastModel(Config(**TINY))
+    short = generate_synthetic(4, "reach", 1, frames=4, raster=16, pose_dim=6)
+    with pytest.raises(UsageError):
+        rollout(model, [CLIP] + short)
+    with pytest.raises(UsageError):
+        rollout(model, [])
 
 
 def test_session_step_records_nothing_and_equals_a_recording_step():
     model = ForecastModel(Config(**TINY))
-    session = Session(model, CLIP.instruction, mode=ORACLE, record=True)
-    queue = model.new_queue()
+    session = Session(model, [c.instruction for c in CLIPS], mode=ORACLE, record=True)
+    queue = model.new_queue(len(CLIPS))
     for i in range(CLIP.num_frames):
-        session.step(CLIP.frames[i], CLIP.gt[i])
+        frames = np.stack([c.frames[i] for c in CLIPS])
+        preds = session.step(frames, [c.gt[i] for c in CLIPS])
+        assert len(preds) == len(CLIPS)
         assert model.tape.nodes == []
         assert model.tape.ops > 0
         model.tape.reset()
-        decoded = model.forward_step(CLIP.frames[i:i + 1], [CLIP.gt[i]], [queue],
+        decoded = model.forward_step(frames, [c.gt[i] for c in CLIPS], queue,
                                      instruction_values=session.instruction_values)
         assert len(model.tape.nodes) == model.tape.ops  # every op a record
-        np.testing.assert_array_equal(decoded.stacked_values()[0], session.trace[-1].outputs)
+        np.testing.assert_array_equal(decoded.stacked_values(), session.trace[-1].outputs)
 
 
 def test_default_config_stream_step_op_count():
     # A deterministic work count: the decoder adds its key positions once
     # per step, not once per block; the first step's memory attends to an
-    # empty queue.
+    # empty queue and runs no op, and every later step's memory runs five
+    # (bias, window mask, attention, empty-window gate, residual).
     model = ForecastModel(Config())
     clip = generate_synthetic(0, "reach", 1, frames=4)[0]
     session = Session(model, clip.instruction, mode=ORACLE)
@@ -74,7 +93,7 @@ def test_default_config_stream_step_op_count():
     for i in range(3):
         session.step(clip.frames[i], clip.gt[i])
         ops.append(model.tape.ops)
-    assert ops == [148, 151, 151]
+    assert ops == [146, 151, 151]
 
 
 def test_bench_constant_cost_holds():

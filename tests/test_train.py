@@ -1,6 +1,5 @@
-"""Training loop: determinism, update count, schedule, and frame order."""
-
-import copy
+"""Training loop: determinism, update count, schedule, and the lockstep
+streams' visits and windows."""
 
 import numpy as np
 import numpy.testing as npt
@@ -13,14 +12,47 @@ from sfhand.errors import UsageError
 from sfhand.matching import composite_loss
 from sfhand.model import ForecastModel
 from sfhand.stream import ORACLE, Session
+from sfhand import train as train_module
 from sfhand.train import AdamW, batch_loss, lr_at, train
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8, text_len=4,
             memory_size=8, text_layers=1, hand_layers=1, decoder_layers=1, batch=4)
-# 3 clips of 6 frames: 5 forecast steps per visit, so with batch 4 visits
-# and updates do not line up
+# 3 clips of 6 frames: 5 forecast steps per visit, dealt to 4 streams, so
+# a clip can be visited by two streams at once
 CLIPS = (generate_synthetic(11, "reach", 2, frames=6, raster=16, pose_dim=6)
          + generate_synthetic(12, "two_hands", 1, frames=6, raster=16, pose_dim=6))
+
+
+def spy_batches(monkeypatch, model):
+    """Record every update's batch: its streams' (clip, frame index), the
+    queue windows before the step, the hand inputs and the forecasts."""
+    calls = []
+
+    def spy(model_, streams, hands, queue):
+        window = queue.window.copy()
+        loss, breakdown, decoded = batch_loss(model_, streams, hands, queue)
+        with model.tape.no_record():
+            forecasts = [model.select_hands(decoded.frame(b)) for b in range(len(streams))]
+        calls.append(dict(streams=list(streams), window=window, hands=list(hands),
+                          forecasts=forecasts, outputs=decoded.stacked_values()))
+        return loss, breakdown, decoded
+
+    monkeypatch.setattr(train_module, "batch_loss", spy)
+    return calls
+
+
+def dealt_visits(calls):
+    """The clips in the order the streams were dealt them."""
+    return [clip for call in calls for clip, i in call["streams"] if i == 0]
+
+
+def visit_order(clips, seed, count):
+    """The first ``count`` visits of shuffled epochs, short clips skipped."""
+    rng = np.random.default_rng(seed)
+    order = []
+    while len(order) < count:
+        order += [clips[c] for c in rng.permutation(len(clips)) if clips[c].num_frames >= 2]
+    return order[:count]
 
 
 def test_same_seed_same_records():
@@ -66,114 +98,151 @@ def test_lr_schedule():
 
 def test_scheduled_sampling_feeds_predictions():
     # threshold 0: every prediction holds both hands, so feeding them back
-    # changes the inputs and the losses
+    # changes the inputs and the losses; the first update has no previous
+    # forecast, since every stream is at its visit's first frame
     cfg = Config(**TINY, confidence_threshold=0.0)
     forced = train(ForecastModel(cfg), CLIPS, steps=2)
     sampled = train(ForecastModel(cfg.replace(scheduled_sampling=1.0)), CLIPS, steps=2)
     assert all(np.isfinite(r.total) for r in sampled)
-    assert sampled[0] != forced[0]
+    assert sampled[0] == forced[0]
+    assert sampled[1] != forced[1]
 
 
-def test_frames_follow_shuffled_visits_with_a_fresh_queue_each():
+def test_frames_follow_shuffled_visits_with_a_fresh_queue_each(monkeypatch):
+    # each stream steps through one visit, one frame per update, and is
+    # dealt the next visit in shuffled epoch order when it finishes; its
+    # window starts empty and grows by one entry per step
     cfg = Config(**TINY)
     model = ForecastModel(cfg)
-    step, remember = model.forward_step, model.memory.forward
-    seen = []  # (clip, frame index, queue length before the step, update)
-    records = []
-    batch_hands = []  # the hand inputs of the forward_step running now
-
-    # frames repeat within a clip, but every frame's hand states are the
-    # clip's own objects, so the identity of the first one names the frame
-    where = {id(clip.gt[i][0]): (c, i)
-             for c, clip in enumerate(CLIPS) for i in range(clip.num_frames)}
-
-    def step_spy(frames, hands, queues, **kw):
-        batch_hands[:] = hands
-        return step(frames, hands, queues, **kw)
-
-    def memory_spy(queue, e_t):
-        hands = batch_hands.pop(0)
-        seen.append((*where[id(hands[0])], len(queue), len(records)))
-        return remember(queue, e_t)
-
-    model.forward_step, model.memory.forward = step_spy, memory_spy
-    train(model, CLIPS, steps=5, on_record=records.append)
-
-    rng = np.random.default_rng(cfg.seed)
-    visits = [*rng.permutation(3), *rng.permutation(3)]
-    expected = [(c, i) for c in visits for i in range(5)][:20]
-    assert [(c, i) for c, i, _, _ in seen] == expected
-    # a visit starts empty and its queue grows by one entry per step
-    assert [n for _, _, n, _ in seen] == [i for _, i in expected]
-    # the first visit's last step opens the second update with 4 entries
-    assert seen[4][2:] == (4, 1)
+    calls = spy_batches(monkeypatch, model)
+    train(model, CLIPS, steps=12)
+    assert len(calls) == 12
+    visits = dealt_visits(calls)
+    assert [id(c) for c in visits] == [id(c) for c in visit_order(CLIPS, cfg.seed, len(visits))]
+    streams = [(visits[b], 0) for b in range(cfg.batch)]
+    dealt = cfg.batch
+    for call in calls:
+        assert [(id(c), i) for c, i in call["streams"]] == [(id(c), i) for c, i in streams]
+        assert call["window"].tolist() == [min(i, cfg.memory_size) for _, i in streams]
+        for b, (clip, i) in enumerate(streams):
+            streams[b] = (clip, i + 1)
+            if i + 2 == clip.num_frames:
+                streams[b], dealt = (visits[dealt], 0), dealt + 1
+    assert dealt > 2 * cfg.batch  # every stream restarted, some twice
 
 
-def test_scheduled_sampling_feeds_the_previous_forecast():
-    # every frame past a visit's first is fed the forecast that the
-    # recorded batch made for the frame before it
+def test_mixed_length_streams_restart_with_fresh_windows(monkeypatch):
+    # clips of 4, 6 and 1 frames: the 1-frame clip has nothing to forecast
+    # and is never dealt; the other two end their visits after 3 and 5
+    # steps, so streams restart at different updates. With the optimizer
+    # step disabled the parameters stay fixed, and every stream's outputs
+    # equal a one-stream forward on a fresh queue fed its visit's frames.
+    cfg = Config(**TINY, precision="float64")
+    four = generate_synthetic(21, "reach", 1, frames=4, raster=16, pose_dim=6)[0]
+    one = ClipSample("one", "x", CLIPS[0].frames[:1], CLIPS[0].gt[:1])
+    clips = [four, one, CLIPS[2]]
+    model = ForecastModel(cfg)
+    monkeypatch.setattr(AdamW, "step", lambda self, grads: None)
+    calls = spy_batches(monkeypatch, model)
+    train(model, clips, steps=9)
+
+    visits = dealt_visits(calls)
+    assert all(clip is not one for clip in visits)
+    assert [id(c) for c in visits] == [id(c) for c in visit_order(clips, cfg.seed, len(visits))]
+    restarts = [{u for u, call in enumerate(calls) if call["streams"][b][1] == 0 and u > 0}
+                for b in range(cfg.batch)]
+    assert all(restarts) and len({min(r) for r in restarts}) > 1
+
+    for call in calls:
+        for b, (clip, i) in enumerate(call["streams"]):
+            queue = model.new_queue()
+            ids = tokenize_text(clip.instruction, cfg.text_len)[None]
+            with model.tape.no_record():
+                for k in range(i + 1):
+                    decoded = model.forward_step(clip.frames[k:k + 1], [list(clip.gt[k])],
+                                                 queue, instruction_ids=ids)
+            npt.assert_allclose(call["outputs"][b], decoded.stacked_values()[0],
+                                rtol=0, atol=1e-12)
+
+
+def test_scheduled_sampling_feeds_the_previous_forecast(monkeypatch):
+    # every stream past its visit's first frame is fed the forecast that
+    # the last update made for it; a visit's first frame takes its truth
     cfg = Config(**TINY, confidence_threshold=0.0, scheduled_sampling=1.0,
                  precision="float64")
     model = ForecastModel(cfg)
-    step = model.forward_step
-    fed, forecasts = [], []
+    calls = spy_batches(monkeypatch, model)
+    train(model, CLIPS, steps=7)
+    fed_forecasts = 0
+    for prev, call in zip([None] + calls, calls):
+        for b, (clip, i) in enumerate(call["streams"]):
+            fed = call["hands"][b]
+            if i == 0:
+                assert fed == list(clip.gt[0])
+                continue
+            want = prev["forecasts"][b]
+            assert [h.hand_type for h in fed] == [h.hand_type for h in want]
+            for got, w in zip(fed, want):
+                npt.assert_allclose(got.bbox.as_array(), w.bbox.as_array(), rtol=1e-12)
+                npt.assert_allclose(got.pose.theta, w.pose.theta, rtol=1e-12, atol=1e-12)
+                npt.assert_allclose(got.traj.as_array(), w.traj.as_array(), rtol=1e-12)
+            fed_forecasts += 1
+    assert fed_forecasts > cfg.batch
 
-    def spy(frames, hands, queues, **kw):
-        decoded = step(frames, hands, queues, **kw)
-        if model.tape.recording:  # the recorded batch
-            fed.extend(hands)
-            forecasts.extend(model.select_hands(decoded.frame(j)) for j in range(len(hands)))
-        return decoded
 
-    model.forward_step = spy
-    train(model, CLIPS, steps=3)
-    rng = np.random.default_rng(cfg.seed)
-    order = [(c, i) for c in rng.permutation(3) for i in range(5)][:12]
-    assert len(fed) == 12
-    for k, (c, i) in enumerate(order):
-        if i == 0:
-            assert fed[k] == list(CLIPS[c].gt[0])
-            continue
-        assert [h.hand_type for h in fed[k]] == [h.hand_type for h in forecasts[k - 1]]
-        for got, want in zip(fed[k], forecasts[k - 1]):
-            npt.assert_allclose(got.bbox.as_array(), want.bbox.as_array(), rtol=1e-12)
-            npt.assert_allclose(got.pose.theta, want.pose.theta, rtol=1e-12, atol=1e-12)
-            npt.assert_allclose(got.traj.as_array(), want.traj.as_array(), rtol=1e-12)
+# (clip, frame index) of each stream, and how many of its previous frames
+# its window holds: a stream deep in its visit, one with a full window, a
+# restarted stream with an empty window, and one a step into its visit
+SCENE = [(0, 3), (1, 4), (2, 0), (2, 1)]
+WINDOWS = [3, 4, 0, 1]
+
+
+def primed_queue(model):
+    """A queue over the SCENE streams whose windows hold each stream's
+    WINDOWS[b] previous frames, behind entries the stream must not see."""
+    queue = model.new_queue(len(SCENE))
+    for k in range(4):
+        inputs = []
+        for b, (c, i) in enumerate(SCENE):
+            j = i - 4 + k
+            inputs.append((CLIPS[c], j) if j >= i - WINDOWS[b] else (CLIPS[1], 5))
+        with model.tape.no_record():
+            e_t, mask = model.encode_current(np.stack([clip.frames[j] for clip, j in inputs]),
+                                             [list(clip.gt[j]) for clip, j in inputs])
+        queue.enqueue(e_t.value, mask)
+        for b, w in enumerate(WINDOWS):
+            if k == 3 - w:
+                queue.restart(b)
+    assert queue.window.tolist() == WINDOWS
+    return queue
 
 
 @pytest.mark.parametrize("ablation", ({}, dict(use_memory=False), dict(use_text=False),
                                       dict(use_video=False), dict(use_hand=False)),
                          ids=("full", "no_memory", "no_text", "no_video", "no_hand"))
 def test_batched_update_equals_mean_of_per_frame_steps(ablation):
-    # a batch that ends one visit (frames 3, 4 of clip 0, whose queue holds
-    # frames 0..2) and opens the next (frames 0, 1 of clip 2)
+    # one update over four streams with different windows against each
+    # stream as a batch of one on a fresh queue holding only its window
     cfg = Config(**TINY, **ablation, precision="float64")
     model = ForecastModel(cfg)
-    primed = model.new_queue()
-    with model.tape.no_record():
-        e_t, mask = model.encode_current(CLIPS[0].frames[:3], CLIPS[0].gt[:3])
-    for i in range(3):
-        primed.enqueue(e_t.value[i], mask[i])
-
-    def batch_with_fresh_queues():
-        old, new = copy.deepcopy(primed), model.new_queue()
-        return [(CLIPS[0], 3, old), (CLIPS[0], 4, old), (CLIPS[2], 0, new), (CLIPS[2], 1, new)]
-
-    batch = batch_with_fresh_queues()
+    streams = [(CLIPS[c], i) for c, i in SCENE]
+    queue = primed_queue(model)
     model.tape.reset()
-    loss, _ = batch_loss(model, batch, [list(clip.gt[i]) for clip, i, _ in batch])
+    loss, _, _ = batch_loss(model, streams, [list(clip.gt[i]) for clip, i in streams], queue)
     batched = loss.item(), model.tape.backward(loss)
 
     losses, grads = [], {}
-    for clip, i, queue in batch_with_fresh_queues():  # each frame as a batch of one
+    for (clip, i), w in zip(streams, WINDOWS):
+        alone = model.new_queue()
+        for j in range(i - w, i):
+            with model.tape.no_record():
+                e_t, mask = model.encode_current(clip.frames[j:j + 1], [list(clip.gt[j])])
+            alone.enqueue(e_t.value, mask)
         model.tape.reset()
-        ids = tokenize_text(clip.instruction, cfg.text_len)
-        decoded = model.forward_step(clip.frames[i:i + 1], [list(clip.gt[i])], [queue],
-                                     instruction_ids=ids[None])
-        frame_loss = composite_loss(decoded, [clip.gt[i + 1]], cfg)[0]
-        losses.append(frame_loss.item())
-        for name, g in model.tape.backward(frame_loss).items():
-            grads[name] = grads.get(name, 0.0) + g / len(batch)
+        stream_loss, _, _ = batch_loss(model, [(clip, i)], [list(clip.gt[i])], alone)
+        losses.append(stream_loss.item())
+        for name, g in model.tape.backward(stream_loss).items():
+            grads[name] = grads.get(name, 0.0) + g / len(streams)
 
     assert batched[0] == pytest.approx(np.mean(losses), rel=1e-12)
     for name, g in grads.items():
@@ -261,8 +330,8 @@ def test_nothing_kept_across_an_update_aliases_the_buffer():
     queues, grads = [], []
     new_queue, backward = model.new_queue, model.tape.backward
 
-    def queue_spy():
-        queues.append(new_queue())
+    def queue_spy(*args):
+        queues.append(new_queue(*args))
         return queues[-1]
 
     def backward_spy(loss):
