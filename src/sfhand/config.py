@@ -49,7 +49,7 @@ class Config:
     # batch 256 per device, which is pointless at this size.
     learning_rate: float = 1e-3
     lr_schedule: str = "cosine"      # cosine (with short warmup) or constant
-    batch: int = 8                   # frames accumulated per optimizer update
+    batch: int = 8                   # clips per training wave, one frame each per update
     steps: int = 200                 # optimizer updates
     weight_decay: float = 0.01
     seed: int = 0

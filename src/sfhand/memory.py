@@ -3,13 +3,12 @@
 A fixed-capacity queue holds, per step, the (B, n, d) token embeddings of
 a batch's B streams with their (B, n) binary region-of-interest masks,
 snapshot at enqueue time and laid out by the caller
-(``ForecastModel.encode_current``). A stream sees only its window: the
-newest entries of its current visit. The layer refines the current tokens
-by one attention into the flattened queue, keys outside a stream's window
-masked out and the scores optionally biased by a learnable scalar times
-the stored masks; a stream with an empty window passes its tokens through.
-The bias mode is ``Config.memory_mode``, checked when the config is
-built; two modes ship:
+(``ForecastModel.encode_current``). The B streams start together on a
+fresh queue, so every entry belongs to every stream's current clip. The
+layer refines the current tokens by one attention into the flattened
+queue, the scores optionally biased by a learnable scalar times the
+stored masks; an empty queue passes the tokens through. The bias mode is
+``Config.memory_mode``, checked when the config is built; two modes ship:
 
 * ``key_broadcast`` (default): each stored key token k gets ``alpha *
   mask_k`` added to its score column, so hand-region history attracts
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .blocks import MASK_BIAS
 from .config import KEY_BROADCAST, Config
 from .errors import DimensionError, UsageError
 from .tensor import Tape, Tensor
@@ -41,8 +39,7 @@ class MemoryEntry:
 
 @dataclass
 class MemoryQueue:
-    """FIFO of the N most recent steps of B streams, oldest first;
-    ``window[b]`` counts the newest entries of stream b's current visit."""
+    """FIFO of the N most recent steps of B streams, oldest first."""
 
     capacity: int
     token_count: int
@@ -53,14 +50,9 @@ class MemoryQueue:
     def __post_init__(self):
         if self.capacity <= 0 or self.streams <= 0:
             raise UsageError("memory capacity and stream count must be positive")
-        self.window = np.zeros(self.streams, dtype=np.int64)
 
     def __len__(self):
         return len(self.entries)
-
-    def restart(self, stream: int) -> None:
-        """Start a new visit on one stream: its window is empty again."""
-        self.window[stream] = 0
 
     def enqueue(self, embedding: np.ndarray, mask: np.ndarray) -> None:
         embedding = np.asarray(embedding)
@@ -77,7 +69,6 @@ class MemoryQueue:
         self.entries.append(MemoryEntry(embedding.copy(), mask.astype(np.uint8)))
         if len(self.entries) > self.capacity:
             del self.entries[0]
-        self.window = np.minimum(self.window + 1, len(self.entries))
 
 
 class MemoryLayer:
@@ -89,24 +80,16 @@ class MemoryLayer:
 
     def forward(self, queue: MemoryQueue, e_t: Tensor) -> Tensor:
         """Residual attention of each stream's current tokens into its
-        window, scores biased by the masks stored with the entries. When
-        every window is empty, attention is skipped and ``e_t`` returned."""
+        entries, scores biased by the masks stored with them. An empty
+        queue skips attention and returns ``e_t``."""
         layout = (queue.streams, queue.token_count, queue.dim)
         if e_t.value.shape != layout:
             raise DimensionError(f"current tokens {e_t.value.shape} != queue layout {layout}")
-        length = int(queue.window.max())
-        if length == 0:
+        if not queue.entries:
             return e_t
-
-        # the newest entries some window holds; entry i of those, oldest
-        # first, is in stream b's window iff i >= length - window[b]
-        entries = queue.entries[-length:]
-        keys = np.concatenate([e.embedding for e in entries], axis=1)  # a constant
-        seen = np.arange(length) >= length - queue.window[:, None]
-        hidden = np.repeat(np.where(seen, 0.0, MASK_BIAS), queue.token_count, axis=1)
-        bias = hidden[:, None, None]  # (B, 1, 1, keys): over heads and query rows
+        keys = np.concatenate([e.embedding for e in queue.entries], axis=1)  # a constant
+        bias = None
         if self.cfg.memory_mode == KEY_BROADCAST:
-            key_mask = np.concatenate([e.roi_mask for e in entries], axis=1)
-            bias = T.add(T.mul(self.alpha, key_mask[:, None, None]), bias)
-        read = T.attend(e_t, keys, keys, self.cfg.memory_heads, bias)
-        return T.add(e_t, T.mul(read, (queue.window > 0)[:, None, None]))
+            key_mask = np.concatenate([e.roi_mask for e in queue.entries], axis=1)
+            bias = T.mul(self.alpha, key_mask[:, None, None])  # over heads and query rows
+        return T.add(e_t, T.attend(e_t, keys, keys, self.cfg.memory_heads, bias))

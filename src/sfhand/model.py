@@ -10,8 +10,8 @@ memory's ROI mask both read.
 
 Training, evaluation and streaming all step a batch of B independent
 streams, each advancing one frame (B = 1 for a single stream): every
-tensor has a leading B axis, one memory queue holds the B streams'
-windows, and the decoder's queries broadcast against the (B, n, d) tokens.
+tensor has a leading B axis, one memory queue holds the B streams' past
+steps, and the decoder's queries broadcast against the (B, n, d) tokens.
 """
 
 from __future__ import annotations
@@ -155,9 +155,9 @@ class ForecastModel:
         """Encode inputs, run the memory layer and enqueue, decode.
 
         A batch is B streams at one step each: (B, R, R, 3) frames, B hand
-        lists and the queue of their windows, which the step reads, then
-        extends. Text enters either as (B, L) ids (re-encoded on the tape;
-        needed when training) or as cached detached values (streaming
+        lists and the queue of their past steps, which the step reads,
+        then extends. Text enters either as (B, L) ids (re-encoded on the
+        tape; needed when training) or as cached detached values (streaming
         inference), (B, L, d) or one (L, d) shared by the batch.
         """
         cfg = self.cfg

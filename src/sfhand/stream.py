@@ -3,11 +3,12 @@
 A session steps B independent streams in lockstep, one frame each, and
 forecasts each stream's next hand state, feeding back either its own
 prediction (self-feed) or the ground truth (oracle); ``rollout`` runs
-equal-length clips as its streams. ``batch_replay_check`` is the
-correctness oracle for the FIFO memory: it recomputes every step of every
-stream from scratch over the visible window and compares against the
-incremental streams. ``bench`` measures per-step cost and checks exactly
-that it stays constant over long streams.
+equal-length clips as its streams, and ``lockstep_batches`` picks which
+clips run together. ``batch_replay_check`` is the correctness oracle for
+the FIFO memory: it recomputes every step of every stream from scratch
+over the steps its queue can hold and compares against the incremental
+streams. ``bench`` measures per-step cost and checks exactly that it
+stays constant over long streams.
 """
 
 from __future__ import annotations
@@ -87,6 +88,16 @@ class Session:
         return preds[0] if self.single else preds
 
 
+def lockstep_batches(clips: Sequence[ClipSample], width: int) -> list[list[int]]:
+    """Index lists of ``clips`` that can run as lockstep batches: grouped
+    by length, lengths in first-appearance order and input order within a
+    length, each list at most ``width`` long."""
+    groups: dict[int, list[int]] = {}
+    for k, clip in enumerate(clips):
+        groups.setdefault(clip.num_frames, []).append(k)
+    return [g[i:i + width] for g in groups.values() for i in range(0, len(g), width)]
+
+
 def rollout(model: ForecastModel, clips: list[ClipSample], mode: str = SELF_FEED,
             record: bool = False):
     """Forecast frames 2..T from frames 1..T-1 of equal-length clips, each
@@ -115,11 +126,11 @@ def batch_replay_check(model: ForecastModel, clips, mode: str = SELF_FEED) -> fl
     lockstep rollout of ``clips`` (one clip, or a list of equal-length
     clips).
 
-    Every step t is recomputed by re-encoding the window of steps the
-    queue could have seen, rebuilding the queue, and decoding once. The
-    recorded per-step inputs (frames and fed-back hand states) are reused
-    so both computations see identical inputs. The replayed step enqueues
-    into its fresh queue, which is then dropped.
+    Every step t is recomputed by re-encoding the last ``memory_size``
+    steps, the ones the queue can hold, rebuilding the queue, and decoding
+    once. The recorded per-step inputs (frames and fed-back hand states)
+    are reused so both computations see identical inputs. The replayed
+    step enqueues into its fresh queue, which is then dropped.
     """
     clips = [clips] if isinstance(clips, ClipSample) else clips
     _, session = rollout(model, clips, mode=mode, record=True)

@@ -1,11 +1,11 @@
 """Teacher-forced training with adaptive moments and decoupled weight decay.
 
-A batch is ``cfg.batch`` independent streams that share one memory queue.
-The streams are dealt clip visits in shuffled epoch order (clips of fewer
-than 2 frames are skipped), and each advances one frame per update; its
-window rolls through its visit across update boundaries, and a stream
-that finishes a visit starts the next one with an empty window. An
-update's B frames run as one batched forward into one batched loss, the
+Training runs in waves: each epoch shuffles the clips of 2 or more
+frames and cuts that order into ``stream.lockstep_batches`` of at most
+``cfg.batch`` equal-length clips. A wave's clips are independent streams
+that start together on a fresh memory queue and advance one frame per
+update until they finish together, T - 1 updates for clips of T frames.
+An update's frames run as one batched forward into one batched loss, the
 mean of the per-stream losses, and one backward gives the update's
 gradients. Training is single-threaded and fully deterministic under a
 fixed seed.
@@ -25,6 +25,7 @@ from .errors import NumericalError, UsageError
 from .matching import composite_loss
 from .memory import MemoryQueue
 from .model import ForecastModel
+from .stream import lockstep_batches
 
 
 @dataclass
@@ -97,28 +98,29 @@ def lr_at(cfg: Config, update: int, total: int) -> float:
     return float(cfg.learning_rate * (floor + (1 - floor) * 0.5 * (1 + np.cos(np.pi * frac))))
 
 
-def _visits(clips: list[ClipSample], rng: np.random.Generator):
-    """Endless clip visits in shuffled epoch order, skipping clips with
-    fewer than 2 frames."""
+def _waves(clips: list[ClipSample], rng: np.random.Generator, width: int):
+    """Endless training waves: each epoch's shuffled clips of 2 or more
+    frames, chunked by ``lockstep_batches`` at ``width``."""
     while True:
-        for ci in rng.permutation(len(clips)):
-            if clips[ci].num_frames >= 2:
-                yield clips[ci]
+        order = [clips[ci] for ci in rng.permutation(len(clips)) if clips[ci].num_frames >= 2]
+        for wave in lockstep_batches(order, width):
+            yield [order[k] for k in wave]
 
 
-def batch_loss(model: ForecastModel, streams, hands: list, queue: MemoryQueue):
-    """One recorded forward over ``streams``, a list of (clip, frame index)
-    whose frames take ``hands`` as input and whose windows ``queue``
-    holds, into one ``composite_loss`` against each stream's next ground
-    truth. Returns the loss, which is the mean of the per-stream losses,
-    its breakdown, and the decoded heads."""
+def batch_loss(model: ForecastModel, clips: list[ClipSample], i: int, hands: list,
+               queue: MemoryQueue):
+    """One recorded forward over frame ``i`` of a wave's ``clips``, with
+    ``hands`` as input and ``queue`` holding their earlier frames, into
+    one ``composite_loss`` against each clip's next ground truth. Returns
+    the loss, which is the mean of the per-stream losses, its breakdown,
+    and the decoded heads."""
     cfg = model.cfg
     decoded = model.forward_step(
-        np.stack([clip.frames[i] for clip, i in streams]), hands, queue,
+        np.stack([clip.frames[i] for clip in clips]), hands, queue,
         instruction_ids=np.stack([tokenize_text(clip.instruction, cfg.text_len)
-                                  for clip, _ in streams]),
+                                  for clip in clips]),
     )
-    loss, breakdown, _ = composite_loss(decoded, [clip.gt[i + 1] for clip, i in streams], cfg)
+    loss, breakdown, _ = composite_loss(decoded, [clip.gt[i + 1] for clip in clips], cfg)
     return loss, breakdown, decoded
 
 
@@ -127,7 +129,7 @@ def train(model: ForecastModel, clips: list[ClipSample], *,
           on_record: Optional[Callable[[LossRecord], None]] = None) -> list[LossRecord]:
     """Run teacher-forced training; returns one loss record per update.
 
-    With probability ``cfg.scheduled_sampling``, a stream past its visit's
+    With probability ``cfg.scheduled_sampling``, a stream past its clip's
     first frame takes its previous forecast as its hand input: the
     ``select_hands`` of its heads in the last update."""
     cfg = model.cfg
@@ -135,34 +137,30 @@ def train(model: ForecastModel, clips: list[ClipSample], *,
         raise UsageError("training needs at least one clip of 2 or more frames")
     total_updates = cfg.steps if steps is None else steps
     optimizer = AdamW(model, lr=cfg.learning_rate, weight_decay=cfg.weight_decay)
-    visits = _visits(clips, np.random.default_rng(cfg.seed))
+    waves = _waves(clips, np.random.default_rng(cfg.seed), cfg.batch)
     sample_rng = np.random.default_rng(cfg.seed + 1)
-    streams = [(next(visits), 0) for _ in range(cfg.batch)]  # (clip, frame index)
-    queue = model.new_queue(cfg.batch)
-    decoded = None  # the last update's heads, for scheduled sampling
 
     records: list[LossRecord] = []
-    for update in range(total_updates):
-        hands = [list(clip.gt[i]) for clip, i in streams]
-        if cfg.scheduled_sampling > 0:
-            with model.tape.no_record():
-                for b, (_, i) in enumerate(streams):
-                    if i > 0 and sample_rng.random() < cfg.scheduled_sampling:
-                        hands[b] = model.select_hands(decoded.frame(b))
-        model.tape.reset()
-        loss, breakdown, decoded = batch_loss(model, streams, hands, queue)
-        _check_finite(breakdown, update + 1)
-        rec = LossRecord(step=update + 1, **breakdown)
-        optimizer.lr = lr_at(cfg, update, total_updates)
-        optimizer.step(model.tape.backward(loss))
-        records.append(rec)
-        for b, (clip, i) in enumerate(streams):
-            streams[b] = (clip, i + 1)
-            if i + 2 == clip.num_frames:  # the visit is done: deal the next
-                streams[b] = (next(visits), 0)
-                queue.restart(b)
-        if on_record:
-            on_record(rec)
+    while len(records) < total_updates:
+        wave = next(waves)
+        queue = model.new_queue(len(wave))
+        for i in range(min(wave[0].num_frames - 1, total_updates - len(records))):
+            update = len(records)
+            hands = [list(clip.gt[i]) for clip in wave]
+            if i > 0 and cfg.scheduled_sampling > 0:
+                with model.tape.no_record():
+                    for b in range(len(wave)):
+                        if sample_rng.random() < cfg.scheduled_sampling:
+                            hands[b] = model.select_hands(decoded.frame(b))
+            model.tape.reset()
+            loss, breakdown, decoded = batch_loss(model, wave, i, hands, queue)
+            _check_finite(breakdown, update + 1)
+            rec = LossRecord(step=update + 1, **breakdown)
+            optimizer.lr = lr_at(cfg, update, total_updates)
+            optimizer.step(model.tape.backward(loss))
+            records.append(rec)
+            if on_record:
+                on_record(rec)
     return records
 
 

@@ -69,6 +69,22 @@ def test_cli_train_then_eval_exits_zero(tmp_path, capsys):
     assert "constant_cost = True" in capsys.readouterr().out
 
 
+def test_cli_train_on_mixed_lengths_writes_one_loss_row_per_update(tmp_path, capsys):
+    # 4- and 6-frame clips train in waves of one length, 3 or 5 updates each
+    four = generate_synthetic(8, "reach", 3, frames=4, raster=16, pose_dim=6)
+    six = generate_synthetic(9, "two_hands", 2, frames=6, raster=16, pose_dim=6)
+    data = str(tmp_path / "mixed")
+    write_clipfile([four[0], six[0], four[1], six[1], four[2]], data)
+    ckpt = tmp_path / "model.ckpt"
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in TINY.items()]
+    assert main(["train", "--data", data, "--out-checkpoint", str(ckpt),
+                 "--steps", "12", "--batch", "4", *flags]) == 0
+    assert "trained 12 update(s) on 5 clip(s)" in capsys.readouterr().out
+    rows = ckpt.with_suffix(".losses.csv").read_text().splitlines()
+    assert rows[1] == "step,total,type,box,pose,traj"
+    assert [int(r.split(",")[0]) for r in rows[2:]] == list(range(1, 13))
+
+
 def test_cli_eval_ablations_set_their_config_field(tmp_path, capsys):
     data = _gen_clips(tmp_path, "two_hands")
     ckpt = str(tmp_path / "model.ckpt")
@@ -94,8 +110,8 @@ def test_cli_eval_ablations_set_their_config_field(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ("self", "oracle"))
 def test_cli_eval_of_mixed_lengths_equals_pooled_single_clip_reports(tmp_path, mode):
-    # 4- and 6-frame clips interleaved: each length runs as one lockstep
-    # batch, and the report equals one rollout per clip pooled in file order
+    # 4- and 6-frame clips interleaved: each length runs as lockstep
+    # batches, and the report equals one rollout per clip pooled in file order
     four = generate_synthetic(8, "reach", 2, frames=4, raster=16, pose_dim=6)
     six = generate_synthetic(9, "two_hands", 2, frames=6, raster=16, pose_dim=6)
     clips = [four[0], six[0], six[1], four[1]]

@@ -244,33 +244,32 @@ def test_whole_model_through_composite_loss(memory_mode):
                  pose_dim=6, num_queries=2, raster=16, patch=8, text_len=4,
                  memory_size=2, memory_heads=2, mlp_ratio=2, precision="float64",
                  memory_mode=memory_mode)
-    clip = generate_synthetic(5, "two_hands", 1, frames=4, raster=16, pose_dim=6)[0]
+    clips = generate_synthetic(5, "two_hands", 3, frames=4, raster=16, pose_dim=6)
     model = ForecastModel(cfg)
-    # three streams at frames 0, 1 and 2, the first and last sharing an
+    # one wave of three streams at frame 2, the first and last sharing an
     # instruction, so the text encoder's gather adds two streams' gradients
     # into one encoding; "up" is short enough to leave a PAD
     ids = np.stack([tokenize_text(s, cfg.text_len)
-                    for s in (clip.instruction, "up", clip.instruction)])
+                    for s in (clips[0].instruction, "up", clips[0].instruction)])
     assert len(np.unique(ids, axis=0)) == 2 and (ids == PAD_ID).any()
-    # frozen queue of detached past steps, so every gradient ends at this
-    # update: stream b's window holds its b previous frames, behind an
-    # entry of frame 3 that stream 1 must not see; stream 0's window is
-    # empty. Each loss steps a copy of it, since a step enqueues.
-    frozen = model.new_queue(3)
-    for k, window_frames in enumerate(([3, 3, 0], [3, 0, 1])):
-        e_t, mask = model.encode_current(clip.frames[window_frames],
-                                         [clip.gt[j] for j in window_frames])
+    # frozen queue of the wave's detached frames 0 and 1, so every
+    # gradient ends at this update. Each loss steps a copy of it, since a
+    # step enqueues.
+    frozen = model.new_queue(len(clips))
+    for j in (0, 1):
+        e_t, mask = model.encode_current(np.stack([c.frames[j] for c in clips]),
+                                         [c.gt[j] for c in clips])
         frozen.enqueue(e_t.value, mask)
-        frozen.restart(1 - k)
-    assert frozen.window.tolist() == [0, 1, 2]
+    assert len(frozen) == 2
 
     def loss_at(params):
         for name, value in params.items():
             model.tape.set_param(name, value)
         model.tape.reset()
-        decoded = model.forward_step(clip.frames[:3], clip.gt[:3], copy.deepcopy(frozen),
+        decoded = model.forward_step(np.stack([c.frames[2] for c in clips]),
+                                     [c.gt[2] for c in clips], copy.deepcopy(frozen),
                                      instruction_ids=ids)
-        return composite_loss(decoded, clip.gt[1:4], cfg)[0]
+        return composite_loss(decoded, [c.gt[3] for c in clips], cfg)[0]
 
     params = {k: v.copy() for k, v in model.tape.param_values().items()}
     grads = model.tape.backward(loss_at(params))

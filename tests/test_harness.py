@@ -1,5 +1,5 @@
-"""Held-out evaluation: equal-length clips run as one lockstep batch, and
-each clip is scored once, in input order."""
+"""Held-out evaluation: equal-length clips run as lockstep batches of at
+most ``EVAL_STREAMS``, and each clip is scored once, in input order."""
 
 import math
 
@@ -9,7 +9,8 @@ import pytest
 from sfhand.config import Config
 from sfhand.data import generate_synthetic
 from sfhand.errors import UsageError
-from sfhand.harness import build_benchmark, evaluate_model
+from sfhand import harness
+from sfhand.harness import EVAL_STREAMS, build_benchmark, evaluate_model
 from sfhand.metrics import MetricAccumulator
 from sfhand.model import ForecastModel
 from sfhand.stream import ORACLE, SELF_FEED, rollout, static_baseline
@@ -21,6 +22,13 @@ CLIPS = (generate_synthetic(5, "reach", 2, frames=4, raster=16, pose_dim=6)
          + generate_synthetic(6, "two_hands", 1, frames=4, raster=16, pose_dim=6))
 
 
+def pooled_rollouts(model, clips, mode):
+    acc = MetricAccumulator()
+    for clip in clips:
+        acc.add_clip(rollout(model, [clip], mode=mode)[0][0], clip.gt[1:], clip.gt_joints[1:])
+    return acc.report()
+
+
 @pytest.mark.parametrize("mode", (SELF_FEED, ORACLE))
 def test_report_equals_one_accumulator_over_rollouts(mode):
     # the three equal-length clips run as one three-stream batch, and the
@@ -30,14 +38,31 @@ def test_report_equals_one_accumulator_over_rollouts(mode):
     for threshold in (0.0, 0.5):
         model = ForecastModel(Config(**TINY).replace(confidence_threshold=threshold))
         model.tape.set_param("decoder.head_type.b", np.array([1.0, 1.0, -3.0]))
-        acc = MetricAccumulator()
-        for clip in CLIPS:
-            forecasts = rollout(model, [clip], mode=mode)[0][0]
-            acc.add_clip(forecasts, clip.gt[1:], clip.gt_joints[1:])
-        expected = acc.report()
+        expected = pooled_rollouts(model, CLIPS, mode)
         assert 0 < expected.hands
         assert threshold == 0.0 or expected.hands < 2 * expected.frames
         assert evaluate_model(model, CLIPS, mode) == expected
+
+
+def test_equal_length_clips_roll_out_in_batches_of_eval_streams(monkeypatch):
+    # 20 equal-length clips: a batch of 16, then one of 4, and the report
+    # equals pooling one single-clip rollout per clip
+    clips = generate_synthetic(7, "reach", 20, frames=3, raster=16, pose_dim=6)
+    model = ForecastModel(Config(**TINY))
+    batches = []
+
+    def spy(model_, batch, mode):
+        batches.append([id(c) for c in batch])
+        return rollout(model_, batch, mode)
+
+    monkeypatch.setattr(harness, "rollout", spy)
+    assert EVAL_STREAMS == 16
+    for mode in (SELF_FEED, ORACLE):
+        batches.clear()
+        report = evaluate_model(model, clips, mode)
+        assert batches == [[id(c) for c in clips[:16]], [id(c) for c in clips[16:]]]
+        assert report.hands > 0
+        assert report == pooled_rollouts(model, clips, mode)
 
 
 @pytest.mark.parametrize("mode", (SELF_FEED, "static"))

@@ -177,26 +177,12 @@ class TestQueue:
         q = self.make()
         q.enqueue(*self.entry(1))
         assert len(q) == 1
-        npt.assert_array_equal(q.window, [1, 1])
 
     def test_capacity_bound_many_pushes(self):
         q = self.make(3)
         for i in range(1000):
             q.enqueue(*self.entry(i))
         assert len(q) == 3
-        npt.assert_array_equal(q.window, [3, 3])
-
-    def test_restart_empties_one_window_and_keeps_the_entries(self):
-        q = self.make(3, streams=3)
-        for i in range(2):
-            q.enqueue(*self.entry(i, streams=3))
-        q.restart(1)
-        assert len(q) == 2
-        npt.assert_array_equal(q.window, [2, 0, 2])
-        for i in range(2, 5):
-            q.enqueue(*self.entry(i, streams=3))
-            assert q.window[1] == i - 1
-        npt.assert_array_equal(q.window, [3, 3, 3])
 
     def test_layout_mismatch(self):
         q = self.make()
@@ -354,25 +340,18 @@ class TestMemoryForward:
         assert out.value.shape == (1, f.tok, 8)
 
     @pytest.mark.parametrize("mode", (KEY_BROADCAST, OFF))
-    def test_each_stream_reads_only_its_window(self, mode):
-        # streams whose visits restarted at different steps: each stream's
-        # row equals a one-stream read of a queue holding only its window,
-        # and a stream with an empty window passes its tokens through
+    def test_each_stream_reads_only_its_own_entries(self, mode):
+        # a batched read of a queue that has evicted: each stream's row
+        # equals a one-stream read of a queue holding only its own entries
         f = LayerFixture(seed=6, mode=mode)
         f.set_alpha(2.0)
-        q = f.queue_with(4, streams=4)
-        q.restart(1)
-        q.restart(2)
-        q.enqueue(f.rng.normal(0, 1, (4, f.tok, 8)), f.rng.integers(0, 2, (4, f.tok)))
-        q.restart(2)
-        q.restart(3)
-        npt.assert_array_equal(q.window, [4, 1, 0, 0])
+        q = f.queue_with(5, streams=4)
+        assert len(q) == f.cfg.memory_size
         e = f.tokens(streams=4)
         out = f.layer.forward(q, e).value
-        for b, w in enumerate(q.window):
+        for b in range(4):
             alone = MemoryQueue(capacity=4, token_count=f.tok, dim=8)
-            for entry in q.entries[len(q) - w:]:
+            for entry in q.entries:
                 alone.enqueue(entry.embedding[b:b + 1], entry.roi_mask[b:b + 1])
             want = f.layer.forward(alone, f.tape.constant(e.value[b:b + 1])).value[0]
             npt.assert_allclose(out[b], want, rtol=0, atol=1e-12)
-        npt.assert_array_equal(out[2:], e.value[2:])

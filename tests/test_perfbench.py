@@ -6,11 +6,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sfhand.config import Config
 from sfhand.data import generate_synthetic
+from sfhand import tensor as T
 from sfhand.harness import evaluate_model
+from sfhand.memory import MemoryLayer
 from sfhand.model import ForecastModel
 from sfhand.stream import ORACLE, Session
 from sfhand.train import train
@@ -100,6 +103,37 @@ def test_tracer_counts_one_training_update(tracing):
     assert summary["train.adamw.calls"] == summary["tensor.backward.calls"] == 1
     assert summary["model.select_hands.calls"] == 0
     assert summary["stream.sessions_per_op"] == 0
+
+
+def test_keys_per_call_is_the_mean_of_the_keys_each_read_attends_over(tracing, monkeypatch):
+    # two training waves of three updates on a queue of 2: every wave
+    # starts on a fresh queue, so its reads attend over 0, 1 and 2 entries
+    keys, reading = [], []
+    forward, attend = MemoryLayer.forward, T.attend
+
+    def counted_forward(self, queue, e_t):
+        keys.append(0)  # no attention, no keys
+        reading.append(True)
+        try:
+            return forward(self, queue, e_t)
+        finally:
+            reading.pop()
+
+    def counted_attend(q, k, *args, **kwargs):
+        if reading:
+            keys[-1] = k.shape[-2]
+        return attend(q, k, *args, **kwargs)
+
+    monkeypatch.setattr(MemoryLayer, "forward", counted_forward)
+    monkeypatch.setattr(T, "attend", counted_attend)
+    model = ForecastModel(Config(**TINY))
+    with Traced(tracing) as traced:
+        traced.begin()
+        train(model, CLIPS, steps=6)
+        traced.end()
+    tokens = model.cfg.memory_token_count()
+    assert keys == [0, tokens, 2 * tokens] * 2
+    assert traced.summary()["memory.keys_per_call"] == np.mean(keys)
 
 
 def test_tracer_counts_an_evaluation(tracing):

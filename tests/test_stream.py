@@ -1,5 +1,7 @@
 """Streaming oracle and the constant-cost gate of the streaming bench."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from sfhand.data import generate_synthetic
 from sfhand.memory import MemoryQueue
 from sfhand.model import ForecastModel
 from sfhand.errors import UsageError
-from sfhand.stream import ORACLE, SELF_FEED, Session, batch_replay_check, bench, rollout
+from sfhand.stream import (ORACLE, SELF_FEED, Session, batch_replay_check, bench,
+                           lockstep_batches, rollout)
 from sfhand.tensor import Tape
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8,
@@ -64,6 +67,23 @@ def test_rollout_rejects_clips_of_different_lengths():
         rollout(model, [])
 
 
+def test_lockstep_batches_group_one_length_in_order():
+    clips = [SimpleNamespace(num_frames=n) for n in (4, 6, 4, 1, 6, 4, 4)]
+    assert lockstep_batches(clips, 2) == [[0, 2], [5, 6], [1, 4], [3]]
+    assert lockstep_batches([], 3) == []
+    lengths = np.random.default_rng(0).integers(1, 5, 40)
+    clips = [SimpleNamespace(num_frames=int(n)) for n in lengths]
+    # each length's clips in input order, lengths in first-appearance order
+    order = [k for n in dict.fromkeys(lengths.tolist()) for k in np.flatnonzero(lengths == n)]
+    counts = np.unique(lengths, return_counts=True)[1]
+    for width in (1, 3, 8, 40):
+        batches = lockstep_batches(clips, width)
+        assert [k for batch in batches for k in batch] == order
+        assert all(1 <= len(batch) <= width for batch in batches)
+        assert len(batches) == sum(-(-c // width) for c in counts)  # only a last one narrower
+        assert all(len({lengths[k] for k in batch}) == 1 for batch in batches)
+
+
 def test_session_step_records_nothing_and_equals_a_recording_step():
     model = ForecastModel(Config(**TINY))
     session = Session(model, [c.instruction for c in CLIPS], mode=ORACLE, record=True)
@@ -84,8 +104,8 @@ def test_session_step_records_nothing_and_equals_a_recording_step():
 def test_default_config_stream_step_op_count():
     # A deterministic work count: the decoder adds its key positions once
     # per step, not once per block; the first step's memory attends to an
-    # empty queue and runs no op, and every later step's memory runs five
-    # (bias, window mask, attention, empty-window gate, residual).
+    # empty queue and runs no op, and every later step's memory runs three
+    # (bias, attention, residual).
     model = ForecastModel(Config())
     clip = generate_synthetic(0, "reach", 1, frames=4)[0]
     session = Session(model, clip.instruction, mode=ORACLE)
@@ -93,7 +113,7 @@ def test_default_config_stream_step_op_count():
     for i in range(3):
         session.step(clip.frames[i], clip.gt[i])
         ops.append(model.tape.ops)
-    assert ops == [146, 151, 151]
+    assert ops == [146, 149, 149]
 
 
 def test_bench_constant_cost_holds():

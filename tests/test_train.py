@@ -1,5 +1,5 @@
 """Training loop: determinism, update count, schedule, and the lockstep
-streams' visits and windows."""
+waves of clips that start together on a fresh queue."""
 
 import numpy as np
 import numpy.testing as npt
@@ -11,48 +11,58 @@ from sfhand.encoders import tokenize_text
 from sfhand.errors import UsageError
 from sfhand.matching import composite_loss
 from sfhand.model import ForecastModel
-from sfhand.stream import ORACLE, Session
+from sfhand.stream import ORACLE, Session, lockstep_batches
 from sfhand import train as train_module
 from sfhand.train import AdamW, batch_loss, lr_at, train
 
 TINY = dict(d=8, heads=2, pose_dim=6, num_queries=3, raster=16, patch=8, text_len=4,
             memory_size=8, text_layers=1, hand_layers=1, decoder_layers=1, batch=4)
-# 3 clips of 6 frames: 5 forecast steps per visit, dealt to 4 streams, so
-# a clip can be visited by two streams at once
+# 3 clips of 6 frames: one wave per epoch of 5 forecast steps, narrower
+# than the batch of 4
 CLIPS = (generate_synthetic(11, "reach", 2, frames=6, raster=16, pose_dim=6)
          + generate_synthetic(12, "two_hands", 1, frames=6, raster=16, pose_dim=6))
 
 
 def spy_batches(monkeypatch, model):
-    """Record every update's batch: its streams' (clip, frame index), the
-    queue windows before the step, the hand inputs and the forecasts."""
+    """Record every update's batch: its wave's clips and shared frame
+    index, the queue and its length before the step, the hand inputs and
+    the forecasts."""
     calls = []
 
-    def spy(model_, streams, hands, queue):
-        window = queue.window.copy()
-        loss, breakdown, decoded = batch_loss(model_, streams, hands, queue)
+    def spy(model_, clips, i, hands, queue):
+        length = len(queue)
+        loss, breakdown, decoded = batch_loss(model_, clips, i, hands, queue)
         with model.tape.no_record():
-            forecasts = [model.select_hands(decoded.frame(b)) for b in range(len(streams))]
-        calls.append(dict(streams=list(streams), window=window, hands=list(hands),
-                          forecasts=forecasts, outputs=decoded.stacked_values()))
+            forecasts = [model.select_hands(decoded.frame(b)) for b in range(len(clips))]
+        calls.append(dict(clips=list(clips), i=i, queue=queue, length=length,
+                          hands=list(hands), forecasts=forecasts,
+                          outputs=decoded.stacked_values()))
         return loss, breakdown, decoded
 
     monkeypatch.setattr(train_module, "batch_loss", spy)
     return calls
 
 
-def dealt_visits(calls):
-    """The clips in the order the streams were dealt them."""
-    return [clip for call in calls for clip, i in call["streams"] if i == 0]
-
-
-def visit_order(clips, seed, count):
-    """The first ``count`` visits of shuffled epochs, short clips skipped."""
+def epoch_waves(clips, seed, width, epochs):
+    """Each epoch's waves: the ``lockstep_batches`` chunks of its shuffled
+    clips, short clips skipped."""
     rng = np.random.default_rng(seed)
-    order = []
-    while len(order) < count:
-        order += [clips[c] for c in rng.permutation(len(clips)) if clips[c].num_frames >= 2]
-    return order[:count]
+    waves = []
+    for _ in range(epochs):
+        order = [clips[c] for c in rng.permutation(len(clips)) if clips[c].num_frames >= 2]
+        waves.append([[order[k] for k in wave] for wave in lockstep_batches(order, width)])
+    return waves
+
+
+def assert_calls_follow(calls, waves, memory_size):
+    """Every wave runs its T - 1 updates in order on one fresh queue."""
+    expected = [(wave, i) for epoch in waves for wave in epoch
+                for i in range(wave[0].num_frames - 1)]
+    assert len(expected) >= len(calls)
+    for prev, call, (wave, i) in zip([None] + calls, calls, expected):
+        assert [id(c) for c in call["clips"]] == [id(c) for c in wave]
+        assert call["i"] == i and call["length"] == min(i, memory_size)
+        assert prev is None or (call["queue"] is prev["queue"]) == (i > 0)
 
 
 def test_same_seed_same_records():
@@ -109,65 +119,56 @@ def test_scheduled_sampling_feeds_predictions():
 
 
 def test_frames_follow_shuffled_visits_with_a_fresh_queue_each(monkeypatch):
-    # each stream steps through one visit, one frame per update, and is
-    # dealt the next visit in shuffled epoch order when it finishes; its
-    # window starts empty and grows by one entry per step
-    cfg = Config(**TINY)
+    # each epoch's shuffled clips are one wave here, narrower than the
+    # batch: it opens a fresh queue, which evicts at 3 entries, steps
+    # frames 0..4 one update each and never straddles into the next epoch
+    cfg = Config(**{**TINY, "memory_size": 3})
     model = ForecastModel(cfg)
     calls = spy_batches(monkeypatch, model)
     train(model, CLIPS, steps=12)
     assert len(calls) == 12
-    visits = dealt_visits(calls)
-    assert [id(c) for c in visits] == [id(c) for c in visit_order(CLIPS, cfg.seed, len(visits))]
-    streams = [(visits[b], 0) for b in range(cfg.batch)]
-    dealt = cfg.batch
-    for call in calls:
-        assert [(id(c), i) for c, i in call["streams"]] == [(id(c), i) for c, i in streams]
-        assert call["window"].tolist() == [min(i, cfg.memory_size) for _, i in streams]
-        for b, (clip, i) in enumerate(streams):
-            streams[b] = (clip, i + 1)
-            if i + 2 == clip.num_frames:
-                streams[b], dealt = (visits[dealt], 0), dealt + 1
-    assert dealt > 2 * cfg.batch  # every stream restarted, some twice
+    waves = epoch_waves(CLIPS, cfg.seed, cfg.batch, 3)
+    assert_calls_follow(calls, waves, cfg.memory_size)
+    for epoch in waves:  # every clip once per epoch
+        assert sorted(id(c) for wave in epoch for c in wave) == sorted(id(c) for c in CLIPS)
 
 
 def test_mixed_length_streams_restart_with_fresh_windows(monkeypatch):
     # clips of 4, 6 and 1 frames: the 1-frame clip has nothing to forecast
-    # and is never dealt; the other two end their visits after 3 and 5
-    # steps, so streams restart at different updates. With the optimizer
-    # step disabled the parameters stay fixed, and every stream's outputs
-    # equal a one-stream forward on a fresh queue fed its visit's frames.
-    cfg = Config(**TINY, precision="float64")
-    four = generate_synthetic(21, "reach", 1, frames=4, raster=16, pose_dim=6)[0]
+    # and is never dealt; the others train in waves of one length, at most
+    # 2 wide, so the three 6-frame clips take a wave of 2 and one of 1.
+    # Each wave starts on a fresh queue of 3, which the 6-frame waves
+    # overflow. With the optimizer step disabled the parameters stay
+    # fixed, and every stream's outputs equal a one-stream forward on a
+    # fresh queue fed its clip's frames, in either precision.
+    four = generate_synthetic(21, "reach", 2, frames=4, raster=16, pose_dim=6)
     one = ClipSample("one", "x", CLIPS[0].frames[:1], CLIPS[0].gt[:1])
-    clips = [four, one, CLIPS[2]]
-    model = ForecastModel(cfg)
+    clips = [four[0], one, CLIPS[0], four[1], CLIPS[1], CLIPS[2]]
     monkeypatch.setattr(AdamW, "step", lambda self, grads: None)
-    calls = spy_batches(monkeypatch, model)
-    train(model, clips, steps=9)
-
-    visits = dealt_visits(calls)
-    assert all(clip is not one for clip in visits)
-    assert [id(c) for c in visits] == [id(c) for c in visit_order(clips, cfg.seed, len(visits))]
-    restarts = [{u for u, call in enumerate(calls) if call["streams"][b][1] == 0 and u > 0}
-                for b in range(cfg.batch)]
-    assert all(restarts) and len({min(r) for r in restarts}) > 1
-
-    for call in calls:
-        for b, (clip, i) in enumerate(call["streams"]):
-            queue = model.new_queue()
-            ids = tokenize_text(clip.instruction, cfg.text_len)[None]
-            with model.tape.no_record():
-                for k in range(i + 1):
-                    decoded = model.forward_step(clip.frames[k:k + 1], [list(clip.gt[k])],
-                                                 queue, instruction_ids=ids)
-            npt.assert_allclose(call["outputs"][b], decoded.stacked_values()[0],
-                                rtol=0, atol=1e-12)
+    for precision in ("float64", "float32"):
+        cfg = Config(**{**TINY, "memory_size": 3, "batch": 2}, precision=precision)
+        model = ForecastModel(cfg)
+        calls = spy_batches(monkeypatch, model)
+        train(model, clips, steps=16)  # one epoch is 3 + 5 + 5 updates
+        waves = epoch_waves(clips, cfg.seed, cfg.batch, 2)
+        assert_calls_follow(calls, waves, cfg.memory_size)
+        assert sorted(len(wave) for wave in waves[0]) == [1, 2, 2]
+        for call in calls:
+            assert all(clip is not one for clip in call["clips"])
+            assert len({clip.num_frames for clip in call["clips"]}) == 1
+            for b, clip in enumerate(call["clips"]):
+                queue = model.new_queue()
+                ids = tokenize_text(clip.instruction, cfg.text_len)[None]
+                with model.tape.no_record():
+                    for k in range(call["i"] + 1):
+                        decoded = model.forward_step(clip.frames[k:k + 1], [list(clip.gt[k])],
+                                                     queue, instruction_ids=ids)
+                npt.assert_array_equal(call["outputs"][b], decoded.stacked_values()[0])
 
 
 def test_scheduled_sampling_feeds_the_previous_forecast(monkeypatch):
-    # every stream past its visit's first frame is fed the forecast that
-    # the last update made for it; a visit's first frame takes its truth
+    # every stream past its clip's first frame is fed the forecast that
+    # the last update made for it; a wave's first frame takes its truth
     cfg = Config(**TINY, confidence_threshold=0.0, scheduled_sampling=1.0,
                  precision="float64")
     model = ForecastModel(cfg)
@@ -175,9 +176,9 @@ def test_scheduled_sampling_feeds_the_previous_forecast(monkeypatch):
     train(model, CLIPS, steps=7)
     fed_forecasts = 0
     for prev, call in zip([None] + calls, calls):
-        for b, (clip, i) in enumerate(call["streams"]):
+        for b, clip in enumerate(call["clips"]):
             fed = call["hands"][b]
-            if i == 0:
+            if call["i"] == 0:
                 assert fed == list(clip.gt[0])
                 continue
             want = prev["forecasts"][b]
@@ -190,30 +191,14 @@ def test_scheduled_sampling_feeds_the_previous_forecast(monkeypatch):
     assert fed_forecasts > cfg.batch
 
 
-# (clip, frame index) of each stream, and how many of its previous frames
-# its window holds: a stream deep in its visit, one with a full window, a
-# restarted stream with an empty window, and one a step into its visit
-SCENE = [(0, 3), (1, 4), (2, 0), (2, 1)]
-WINDOWS = [3, 4, 0, 1]
-
-
-def primed_queue(model):
-    """A queue over the SCENE streams whose windows hold each stream's
-    WINDOWS[b] previous frames, behind entries the stream must not see."""
-    queue = model.new_queue(len(SCENE))
-    for k in range(4):
-        inputs = []
-        for b, (c, i) in enumerate(SCENE):
-            j = i - 4 + k
-            inputs.append((CLIPS[c], j) if j >= i - WINDOWS[b] else (CLIPS[1], 5))
+def primed_queue(model, clips, i):
+    """A queue over a wave of ``clips`` that has taken their frames 0..i-1."""
+    queue = model.new_queue(len(clips))
+    for j in range(i):
         with model.tape.no_record():
-            e_t, mask = model.encode_current(np.stack([clip.frames[j] for clip, j in inputs]),
-                                             [list(clip.gt[j]) for clip, j in inputs])
+            e_t, mask = model.encode_current(np.stack([clip.frames[j] for clip in clips]),
+                                             [list(clip.gt[j]) for clip in clips])
         queue.enqueue(e_t.value, mask)
-        for b, w in enumerate(WINDOWS):
-            if k == 3 - w:
-                queue.restart(b)
-    assert queue.window.tolist() == WINDOWS
     return queue
 
 
@@ -221,28 +206,24 @@ def primed_queue(model):
                                       dict(use_video=False), dict(use_hand=False)),
                          ids=("full", "no_memory", "no_text", "no_video", "no_hand"))
 def test_batched_update_equals_mean_of_per_frame_steps(ablation):
-    # one update over four streams with different windows against each
-    # stream as a batch of one on a fresh queue holding only its window
-    cfg = Config(**TINY, **ablation, precision="float64")
+    # one update of a three-clip wave at frame 4, its queue of 3 past its
+    # first eviction, against each clip as a wave of one
+    cfg = Config(**{**TINY, "memory_size": 3}, **ablation, precision="float64")
     model = ForecastModel(cfg)
-    streams = [(CLIPS[c], i) for c, i in SCENE]
-    queue = primed_queue(model)
+    i = 4
     model.tape.reset()
-    loss, _, _ = batch_loss(model, streams, [list(clip.gt[i]) for clip, i in streams], queue)
+    loss, _, _ = batch_loss(model, CLIPS, i, [list(clip.gt[i]) for clip in CLIPS],
+                            primed_queue(model, CLIPS, i))
     batched = loss.item(), model.tape.backward(loss)
 
     losses, grads = [], {}
-    for (clip, i), w in zip(streams, WINDOWS):
-        alone = model.new_queue()
-        for j in range(i - w, i):
-            with model.tape.no_record():
-                e_t, mask = model.encode_current(clip.frames[j:j + 1], [list(clip.gt[j])])
-            alone.enqueue(e_t.value, mask)
+    for clip in CLIPS:
         model.tape.reset()
-        stream_loss, _, _ = batch_loss(model, [(clip, i)], [list(clip.gt[i])], alone)
+        stream_loss, _, _ = batch_loss(model, [clip], i, [list(clip.gt[i])],
+                                       primed_queue(model, [clip], i))
         losses.append(stream_loss.item())
         for name, g in model.tape.backward(stream_loss).items():
-            grads[name] = grads.get(name, 0.0) + g / len(streams)
+            grads[name] = grads.get(name, 0.0) + g / len(CLIPS)
 
     assert batched[0] == pytest.approx(np.mean(losses), rel=1e-12)
     for name, g in grads.items():
